@@ -57,7 +57,6 @@ def run_codec(codec: str, rounds: int) -> dict:
         model="simple_cnn",
         scale="ci",
         seed=0,
-        transport="delta",
         transport_codec=codec,
         overrides={"num_rounds": rounds, "eval_every": rounds},
     )

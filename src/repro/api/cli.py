@@ -87,15 +87,14 @@ from repro.perf.profiler import render_summary
 
 __all__ = ["main", "build_parser"]
 
-#: CLI default model; the ExperimentSetting default (vgg16) needs 32px
-#: inputs and cannot build at the 16px ci scale every quick run uses.
-DEFAULT_MODEL = "simple_cnn"
-
 
 def _add_setting_flags(parser: argparse.ArgumentParser) -> None:
+    # exact flag names only: a prefix such as --transport would otherwise
+    # be read as --transport-codec
+    parser.allow_abbrev = False
     group = parser.add_argument_group("experiment setting")
     group.add_argument("--dataset", default="cifar10", choices=sorted(DATASET_BUILDERS))
-    group.add_argument("--model", default=DEFAULT_MODEL, help="architecture registry name")
+    group.add_argument("--model", default=ExperimentSetting.model, help="architecture registry name")
     group.add_argument(
         "--distribution",
         default=None,
@@ -124,16 +123,10 @@ def _add_setting_flags(parser: argparse.ArgumentParser) -> None:
         help="fleet scenario driving system dynamics (see `repro scenarios`)",
     )
     group.add_argument(
-        "--transport",
-        default="delta",
-        choices=["delta", "full"],
-        help="weight transport: slice/delta (default) or legacy full-state shipping",
-    )
-    group.add_argument(
         "--transport-codec",
         default="none",
         choices=["none", "fp16", "int8", "topk"],
-        help="lossy uplink codec layered on the transport (default: none = exact)",
+        help="lossy uplink codec layered on the weight transport (default: none = exact)",
     )
 
 
@@ -359,7 +352,6 @@ def _setting_from_args(args: argparse.Namespace) -> ExperimentSetting:
         executor=args.executor,
         max_workers=args.max_workers,
         scenario=args.scenario,
-        transport=args.transport,
         transport_codec=args.transport_codec,
     )
 

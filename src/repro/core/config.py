@@ -70,13 +70,7 @@ class FederatedConfig:
     #: registered fleet scenario driving system dynamics (None = no simulation);
     #: see :mod:`repro.sim` — "paper_testbed" reproduces the legacy test-bed clock
     scenario: str | None = None
-    #: weight transport between server and client workers: "delta" publishes
-    #: the global state once per round (version tag + per-worker cache),
-    #: ships each client only the submodel slice it trains and returns
-    #: bit-exact XOR deltas; "full" is the legacy per-task weight shipping.
-    #: Both produce bit-identical results (see tests/perf).
-    transport: str = "delta"
-    #: lossy update codec layered on the transport ("none", "fp16",
+    #: lossy update codec layered on the weight transport ("none", "fp16",
     #: "int8", "topk" — see :mod:`repro.engine.codecs`).  "none" keeps
     #: the exact bit-identical contract; lossy codecs stay deterministic
     #: per (seed, round, client) but trade accuracy for uplink bytes,
@@ -90,8 +84,6 @@ class FederatedConfig:
             raise ValueError("clients_per_round must be positive")
         if self.eval_every <= 0:
             raise ValueError("eval_every must be positive")
-        if self.transport not in {"delta", "full"}:
-            raise ValueError("transport must be 'delta' or 'full'")
         validate_executor_choice(self.executor, self.max_workers)
         # imported inside the method for the same circularity reason as
         # the scenario validation below

@@ -5,27 +5,32 @@ protocol: select participants, dispatch weights, train locally, aggregate,
 evaluate.  :class:`FederatedAlgorithm` implements the common machinery
 (client construction, per-round and per-client RNG streams, the parallel
 client-execution engine, evaluation of the global model and of the
-per-level heads, history bookkeeping, optional wall-clock simulation);
-subclasses implement :meth:`run_round` and dispatch their per-client work
-through :meth:`run_local_training` / :meth:`execute_client_tasks`, which
-fan out across the configured :class:`~repro.engine.base.Executor`
+per-level heads, history bookkeeping, optional wall-clock simulation) and
+runs the round protocol once, in :meth:`~FederatedAlgorithm.run_round`.
+Subclasses implement only :meth:`~FederatedAlgorithm.plan_round`, which
+returns one :class:`ParticipantSlot` per dispatched client; they may
+override how a slot becomes a task (:meth:`~FederatedAlgorithm.make_task`)
+and how decoded updates are folded in
+(:meth:`~FederatedAlgorithm.fold_updates`).  Tasks fan out across the
+configured :class:`~repro.engine.base.Executor`
 (``federated_config.executor``) with bit-identical results for every
 executor choice.  When a :mod:`repro.sim` scenario is active
 (``federated_config.scenario`` or the ``scenario=`` argument), rounds are
 conditioned on the fleet's simulated dynamics: :meth:`dispatch_count`
 adds the scenario's over-selection margin, :meth:`selectable_clients`
 restricts selection to reachable devices, :meth:`plan_round_outcome`
-simulates arrivals/dropouts/deadlines before training fans out, and
-:meth:`finalize_round` — the single shared hook every ``run_round``
-returns through — records wall-clock, arrivals, drops and bytes on the
-:class:`~repro.core.history.RoundRecord`.  :meth:`run` drives the
-:class:`repro.api.callbacks.Callback` hook protocol (round start/end,
-evaluation, fit end) and honours :meth:`request_stop` for early stopping.
+simulates arrivals/dropouts/deadlines from the slots' sizes before
+training fans out, and :meth:`finalize_round` records wall-clock,
+arrivals, drops and bytes on the :class:`~repro.core.history.RoundRecord`.
+:meth:`run` drives the :class:`repro.api.callbacks.Callback` hook
+protocol (round start/end, evaluation, fit end) and honours
+:meth:`request_stop` for early stopping.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -35,8 +40,7 @@ from repro.core.aggregation import ClientUpdate, HeterogeneousAggregator
 from repro.core.config import FederatedConfig, LocalTrainingConfig, ModelPoolConfig
 from repro.core.client import SimulatedClient
 from repro.core.history import RoundRecord, TrainingHistory
-from repro.core.local_training import LocalTrainingResult
-from repro.core.metrics import evaluate_state
+from repro.core.metrics import communication_waste_rate, evaluate_state
 from repro.core.pruning import slice_state_dict
 from repro.engine.base import Executor
 from repro.engine.codecs import EncodedUpdate, UpdateCodec, apply_encoded_update, get_codec
@@ -68,7 +72,34 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.scenario import ScenarioSpec
     from repro.store.checkpoint import Checkpoint
 
-__all__ = ["FederatedAlgorithm"]
+__all__ = ["FederatedAlgorithm", "ParticipantSlot"]
+
+
+@dataclass(frozen=True)
+class ParticipantSlot:
+    """One participant slot of a planned round: who trains what.
+
+    ``dispatched``/``returned`` are the submodel names the round record
+    reports; ``group_sizes`` is the slice the client trains and uploads,
+    ``params_down``/``params_up`` the parameter counts the simulated
+    clocks and the waste rate charge, and ``stream`` the published state
+    stream the client's slice is cut from.
+    """
+
+    client_id: int
+    dispatched: str
+    returned: str
+    group_sizes: Mapping[str, int]
+    params_down: int
+    params_up: int
+    stream: str = "global"
+
+    @classmethod
+    def fixed(
+        cls, client_id: int, name: str, group_sizes: Mapping[str, int], num_params: int, stream: str = "global"
+    ) -> "ParticipantSlot":
+        """A slot whose client trains and returns the dispatched submodel unchanged."""
+        return cls(client_id, name, name, group_sizes, num_params, num_params, stream)
 
 
 class FederatedAlgorithm(ABC):
@@ -147,14 +178,14 @@ class FederatedAlgorithm(ABC):
         self.history = TrainingHistory(self.name)
         self._executor: Executor | None = None
         self._owns_executor = False
-        self._flops_cache: dict[str, int] = {}
+        self._flops_cache: dict[tuple, int] = {}
         #: phase-grained scoped timers + transport/workspace counters
         #: (disabled unless run(profile=True) / CLI --profile enables it)
         self.profiler = Profiler(enabled=False)
         #: reused accumulation buffers for heterogeneous aggregation
         self._aggregator = HeterogeneousAggregator()
         #: lossy update codec layered on the transport ("none" resolves to
-        #: None so the exact delta/full paths stay byte-for-byte untouched)
+        #: None so the exact delta path stays byte-for-byte untouched)
         self._codec: UpdateCodec | None = (
             get_codec(federated_config.transport_codec)
             if federated_config.transport_codec != "none"
@@ -169,10 +200,10 @@ class FederatedAlgorithm(ABC):
         self._round_bytes_up = 0
         self._round_raw_bytes_up = 0
         self._round_bytes_down = 0
-        #: one publisher per logical weight stream (slice/delta transport)
+        #: one publisher per logical weight stream
         self._state_stores: dict[str, StateStore] = {}
-        #: one-time published per-client datasets (delta transport): workers
-        #: cache them across rounds, so dispatching never re-ships data
+        #: one-time published per-client datasets: workers cache them
+        #: across rounds, so dispatching never re-ships data
         self._dataset_handles: dict[int, StateHandle] = {}
         #: built eval networks per group-size configuration (weights are
         #: reloaded per evaluation; construction happens once)
@@ -182,11 +213,6 @@ class FederatedAlgorithm(ABC):
         self._stop_reason: str | None = None
         #: telemetry identity of the round in flight ("" outside run())
         self.current_trace_id: str = ""
-
-    # -- hooks --------------------------------------------------------------------------
-    @abstractmethod
-    def run_round(self, round_index: int) -> RoundRecord:
-        """Execute one federated round and return its (unevaluated) record."""
 
     # -- helpers ------------------------------------------------------------------------
     @property
@@ -259,64 +285,120 @@ class FederatedAlgorithm(ABC):
         """Fan per-client tasks out through the executor (order-preserving)."""
         return self.executor.map(tasks)
 
-    def run_local_training(
-        self,
-        round_index: int,
-        assignments: Sequence[tuple[int, Mapping[str, int], "Mapping[str, np.ndarray] | StateHandle"]],
-    ) -> list[LocalTrainingResult]:
-        """Train one submodel per ``(client_id, group_sizes, state_source)``.
+    # -- the round protocol ---------------------------------------------------------------
+    @abstractmethod
+    def plan_round(self, round_index: int) -> list[ParticipantSlot]:
+        """Decide who trains what this round: one slot per dispatched client.
 
-        The common client loop of every baseline: each assignment becomes an
-        independent :class:`~repro.engine.tasks.TrainSubmodelTask` with its
-        own RNG stream, and results come back in assignment order.  The
-        state source is either a pre-cut slice (legacy "full" transport)
-        or a :class:`~repro.engine.transport.StateHandle` — then the
-        worker cuts the slice locally and uploads a bit-exact delta.
+        Planning is all an algorithm writes; :meth:`run_round` executes
+        the plan.  Slots come back in dispatch order, and every random
+        draw comes from :meth:`round_rng`, so the plan is a pure function
+        of ``(seed, round)`` plus the algorithm's own state.
         """
+
+    def make_task(
+        self, round_index: int, slot: ParticipantSlot, handle: StateHandle
+    ) -> ClientTask:
+        """Turn one kept slot into the task a worker runs.
+
+        The default trains the slot's slice as is: the worker cuts
+        ``slot.group_sizes`` from the published state behind ``handle``
+        and uploads a bit-exact delta (or a codec payload).
+        """
+        return TrainSubmodelTask(
+            architecture=self.architecture,
+            group_sizes=slot.group_sizes,
+            initial_state=handle,
+            dataset=self.client_dataset_source(slot.client_id),
+            local_config=self.local_config,
+            client_id=slot.client_id,
+            rng_stream=self.client_stream(round_index, slot.client_id),
+            codec=self._codec,
+            codec_residual=self.codec_residual_for(slot.client_id, slot.group_sizes),
+            trace=self.task_trace(),
+        )
+
+    def fold_updates(self, updates: "Iterable[tuple[ParticipantSlot, ClientUpdate]]") -> None:
+        """Fold the round's decoded updates into the model (default: one global model).
+
+        ``updates`` is a generator: each upload is decoded only when the
+        aggregator asks for it, and dropped once it has been folded in.
+        """
+        self.global_state = self.aggregate(update for _, update in updates)
+
+    def stream_state(self, stream: str) -> Mapping[str, np.ndarray]:
+        """The weights published on one state stream (default: the global model)."""
+        return self.global_state
+
+    def run_round(self, round_index: int) -> RoundRecord:
+        """Execute one round: plan → simulate → train → aggregate → record.
+
+        The plan comes from :meth:`plan_round`.  The fleet (or test-bed)
+        is simulated from the slots' own sizes before any training, so
+        only the updates that will join aggregation are trained; each
+        state stream is published once, each kept slot becomes a task
+        (:meth:`make_task`), and the decoded uploads are folded in by
+        :meth:`fold_updates`.  Waste counts every dispatch: a dropped or
+        late client's downlinked model returns nothing.
+        """
+        slots = self.plan_round(round_index)
+        outcome = self.plan_round_outcome(round_index, slots)
+        keep = list(outcome.aggregated_positions()) if outcome is not None else list(range(len(slots)))
+        kept = [slots[i] for i in keep]
+        handles: dict[str, StateHandle] = {}
+        for slot in kept:
+            if slot.stream not in handles:
+                handles[slot.stream] = self.publish_state(self.stream_state(slot.stream), slot.stream)
         tasks = []
-        for client_id, group_sizes, state_source in assignments:
-            is_handle = isinstance(state_source, StateHandle)
-            if is_handle:
-                self.count_downlink(group_sizes=group_sizes)
-            else:
-                self.count_downlink(actual_bytes=state_nbytes(state_source))
-            tasks.append(
-                TrainSubmodelTask(
-                    architecture=self.architecture,
-                    group_sizes=group_sizes,
-                    initial_state=state_source,
-                    dataset=self.client_dataset_source(client_id),
-                    local_config=self.local_config,
-                    client_id=client_id,
-                    rng_stream=self.client_stream(round_index, client_id),
-                    delta_upload=is_handle,
-                    codec=self._codec,
-                    codec_residual=self.codec_residual_for(client_id, group_sizes),
-                    trace=self.task_trace(),
-                )
-            )
+        for slot in kept:
+            # the modeled downlink is the slice the client trains — the
+            # same slice it uploads
+            self.count_downlink(slot.params_up)
+            tasks.append(self.make_task(round_index, slot, handles[slot.stream]))
         with self.profiler.scope("round.training"):
-            return self.execute_client_tasks(tasks)
+            results = self.execute_client_tasks(tasks)
+        if results:
+            self.fold_updates(
+                (
+                    slot,
+                    ClientUpdate(
+                        self.decode_result_state(
+                            result.state, slot.group_sizes, self.stream_state(slot.stream)
+                        ),
+                        result.num_samples,
+                    ),
+                )
+                for slot, result in zip(kept, results)
+            )
+        aggregated = set(keep)
+        record = RoundRecord(
+            round_index=round_index,
+            train_loss=float(np.mean([result.mean_loss for result in results])) if results else None,
+            communication_waste=(
+                communication_waste_rate(
+                    [slot.params_down for slot in slots],
+                    [slot.params_up if i in aggregated else 0 for i, slot in enumerate(slots)],
+                )
+                if slots
+                else None
+            ),
+            dispatched=[slot.dispatched for slot in slots],
+            returned=[slot.returned for slot in slots],
+            selected_clients=[slot.client_id for slot in slots],
+        )
+        return self.finalize_round(record, slots, outcome)
 
     # -- weight transport (repro.engine.transport) ---------------------------------------
-    @property
-    def uses_delta_transport(self) -> bool:
-        """True under the slice/delta transport (``federated_config.transport``)."""
-        return self.federated_config.transport == "delta"
-
-    def publish_state(
-        self, state: Mapping[str, np.ndarray], stream: str = "global"
-    ) -> StateHandle | None:
-        """Publish this round's weights for the client tasks (delta mode).
-
-        Returns ``None`` under legacy "full" transport — callers then ship
-        pre-cut slices inside the tasks instead.
-        """
-        if not self.uses_delta_transport:
-            return None
+    def _state_store(self, stream: str) -> StateStore:
+        """The publisher of one logical stream (created on first use)."""
         store = self._state_stores.get(stream)
         if store is None:
             store = self._state_stores[stream] = StateStore(label=f"{self.name}-{stream}")
+        return store
+
+    def publish_state(self, state: Mapping[str, np.ndarray], stream: str = "global") -> StateHandle:
+        """Publish this round's weights on one stream for the client tasks."""
+        store = self._state_store(stream)
         handle = store.publish(state, spill=self.executor.is_interprocess)
         # rounds are synchronous (map() returns only when every task did),
         # so once a new version is out nothing can reference versions more
@@ -329,40 +411,17 @@ class FederatedAlgorithm(ABC):
                 self.profiler.count("transport.spilled_bytes", state_nbytes(state))
         return handle
 
-    def state_source(
-        self,
-        handle: StateHandle | None,
-        state: Mapping[str, np.ndarray],
-        group_sizes: Mapping[str, int],
-    ) -> "Mapping[str, np.ndarray] | StateHandle":
-        """What a task carries: the published handle, or a pre-cut slice."""
-        if handle is not None:
-            return handle
-        return slice_state_dict(state, self.architecture, dict(group_sizes))
+    def count_downlink(self, num_params: int) -> None:
+        """Account one client's modeled downlink on the round and the profiler.
 
-    def count_downlink(
-        self,
-        group_sizes: Mapping[str, int] | None = None,
-        num_params: int | None = None,
-        actual_bytes: int | None = None,
-    ) -> None:
-        """Account one client's downlink on the profiler.
-
-        ``transport.bytes_down`` is the *modeled* downlink — the submodel
-        slice the client receives — in both transport modes, so the
-        counter stays comparable between "full" (where it also equals the
-        pickled payload) and "delta" (where the wire carries only a tiny
-        handle; the modeled slice is what a real deployment would send).
-        Under delta transport the size is derived from the slice's
-        parameter count (batch-norm statistics excluded).
+        The wire carries only a tiny handle; the modeled downlink is the
+        parameter count of the slice a real deployment would send
+        (batch-norm statistics excluded).
         """
-        if actual_bytes is None:
-            if num_params is None:
-                num_params = self.architecture.parameter_count(dict(group_sizes))
-            actual_bytes = num_params * np.dtype(resolve_dtype()).itemsize
-        self._round_bytes_down += actual_bytes
+        nbytes = num_params * np.dtype(resolve_dtype()).itemsize
+        self._round_bytes_down += nbytes
         if self.profiler.enabled:
-            self.profiler.count("transport.bytes_down", actual_bytes)
+            self.profiler.count("transport.bytes_down", nbytes)
 
     def decode_result_state(
         self,
@@ -370,33 +429,23 @@ class FederatedAlgorithm(ABC):
         group_sizes: Mapping[str, int],
         source_state: Mapping[str, np.ndarray],
     ) -> Mapping[str, np.ndarray]:
-        """Resolve an upload (raw weights, XOR delta or codec payload) into plain weights.
+        """Resolve an upload (XOR delta or codec payload) into plain weights.
 
-        Every branch accounts the upload's *actual* wire size on the
+        Both branches account the upload's *actual* wire size on the
         round accumulators — for an :class:`EncodedUpdate` that is the
         compressed blob length, so lossy payloads are never overstated —
         and an encoded upload additionally banks the client's new
         error-feedback residual before decoding against the same
         reference slice the worker trained from.
         """
-        if isinstance(uploaded, EncodedUpdate):
-            self._round_bytes_up += uploaded.nbytes
-            self._round_raw_bytes_up += uploaded.raw_nbytes
-            if self.profiler.enabled:
-                self.profiler.count("transport.bytes_up", uploaded.nbytes)
-            self._bank_codec_residual(uploaded)
-            reference = slice_state_dict(source_state, self.architecture, dict(group_sizes))
-            return apply_encoded_update(uploaded, reference)
-        if isinstance(uploaded, Mapping):
-            nbytes = state_nbytes(uploaded)
-            self._round_bytes_up += nbytes
-            if self.profiler.enabled:
-                self.profiler.count("transport.bytes_up", nbytes)
-            return uploaded
         self._round_bytes_up += uploaded.nbytes
         if self.profiler.enabled:
             self.profiler.count("transport.bytes_up", uploaded.nbytes)
         reference = slice_state_dict(source_state, self.architecture, dict(group_sizes))
+        if isinstance(uploaded, EncodedUpdate):
+            self._round_raw_bytes_up += uploaded.raw_nbytes
+            self._bank_codec_residual(uploaded)
+            return apply_encoded_update(uploaded, reference)
         return decode_upload(uploaded, reference)
 
     # -- lossy transport codec (repro.engine.codecs) -------------------------------------
@@ -454,41 +503,35 @@ class FederatedAlgorithm(ABC):
         with self.profiler.scope("round.aggregate"):
             return self._aggregator.aggregate(self.global_state, updates)
 
-    def client_dataset_source(self, client_id: int) -> "Dataset | StateHandle":
+    def client_dataset_source(self, client_id: int) -> StateHandle:
         """The dataset reference a client task should carry.
 
-        Under delta transport each client's local data is published once
-        and referenced by handle ever after (workers cache it across
-        rounds); legacy transport ships the dataset inside every task.
+        Each client's local data is published once and referenced by
+        handle ever after (workers cache it across rounds).
         """
-        if not self.uses_delta_transport:
-            return self.clients[client_id].dataset
         spill = self.executor.is_interprocess
-        handle = self._dataset_handles.get(client_id)
-        if handle is None or (spill and handle.path is None):
-            stream = f"dataset-{client_id}"
-            store = self._state_stores.get(stream)
-            if store is None:
-                store = self._state_stores[stream] = StateStore(label=f"{self.name}-{stream}")
-            handle = store.publish(self.clients[client_id].dataset, spill=spill)
-            self._dataset_handles[client_id] = handle
-            if self.profiler.enabled and spill:
-                self.profiler.count("transport.dataset_spills")
+        cached = self._dataset_handles.get(client_id)
+        # an in-process handle cannot cross to a worker: republish it spilled
+        if cached is not None and (cached.path is not None or not spill):
+            return cached
+        handle = self._state_store(f"dataset-{client_id}").publish(
+            self.clients[client_id].dataset, spill=spill
+        )
+        self._dataset_handles[client_id] = handle
+        if self.profiler.enabled and spill:
+            self.profiler.count("transport.dataset_spills")
         return handle
 
     def dispatch_client(self, client_id: int) -> SimulatedClient:
         """The client object a :class:`LocalRoundTask` should carry.
 
-        Identical to ``self.clients[client_id]`` except that, under delta
-        transport, its dataset is the published handle — a dispatched
-        client pickles in bytes, not megabytes.
+        Identical to ``self.clients[client_id]`` except that its dataset
+        is the published handle — a dispatched client pickles in bytes,
+        not megabytes.
         """
-        source = self.client_dataset_source(client_id)
-        if source is self.clients[client_id].dataset:
-            return self.clients[client_id]
         return SimulatedClient(
             client_id=client_id,
-            dataset=source,
+            dataset=self.client_dataset_source(client_id),
             profile=self.profiles[client_id],
             local_config=self.local_config,
         )
@@ -511,39 +554,29 @@ class FederatedAlgorithm(ABC):
         """Channel sizes of the per-level heads (S1 / M1 / L1) used for "avg"."""
         return {level: self.pool.group_sizes(cfg) for level, cfg in self.pool.level_heads().items()}
 
-    def submodel_flops(self, config_name: str) -> int:
-        """Per-sample MACs of a pool entry (cached; used by the test-bed clock)."""
-        if config_name not in self._flops_cache:
-            config = self.pool.by_name(config_name)
-            model = self.architecture.build(self.pool.group_sizes(config), rng=np.random.default_rng(0))
-            self._flops_cache[config_name] = count_flops(model, self.architecture.input_shape).flops
-        return self._flops_cache[config_name]
+    def submodel_flops(self, group_sizes: Mapping[str, int]) -> int:
+        """Per-sample MACs of one submodel slice (cached; drives the simulated clocks)."""
+        key = tuple(sorted(group_sizes.items()))
+        if key not in self._flops_cache:
+            model = self.architecture.build(dict(group_sizes), rng=np.random.default_rng(0))
+            self._flops_cache[key] = count_flops(model, self.architecture.input_shape).flops
+        return self._flops_cache[key]
 
-    def simulate_round_time(
-        self,
-        round_index: int,
-        selected_clients: list[int],
-        dispatched_names: list[str],
-        returned_names: list[str],
-    ) -> float | None:
+    def simulate_round_time(self, slots: Sequence[ParticipantSlot]) -> float | None:
         """Wall-clock seconds of a synchronous round on the test-bed (if any)."""
         if self.testbed is None:
             return None
-        times = []
-        for client_id, sent_name, back_name in zip(selected_clients, dispatched_names, returned_names):
-            sent_params = self.pool.by_name(sent_name).num_params
-            back_params = self.pool.by_name(back_name).num_params
-            flops = self.submodel_flops(back_name)
-            times.append(
-                self.testbed.client_round_time(
-                    client_id,
-                    params_down=sent_params,
-                    params_up=back_params,
-                    flops_per_sample=flops,
-                    num_samples=self.clients[client_id].num_samples,
-                    local_epochs=self.local_config.local_epochs,
-                )
+        times = [
+            self.testbed.client_round_time(
+                slot.client_id,
+                params_down=slot.params_down,
+                params_up=slot.params_up,
+                flops_per_sample=self.submodel_flops(slot.group_sizes),
+                num_samples=self.clients[slot.client_id].num_samples,
+                local_epochs=self.local_config.local_epochs,
             )
+            for slot in slots
+        ]
         return self.testbed.round_time(times)
 
     # -- fleet simulation (scenario-conditioned rounds) -----------------------------------
@@ -576,11 +609,7 @@ class FederatedAlgorithm(ABC):
         return self.fleet.available_mask(round_index)
 
     def plan_round_outcome(
-        self,
-        round_index: int,
-        selected_clients: Sequence[int],
-        dispatched_names: Sequence[str],
-        returned_names: Sequence[str],
+        self, round_index: int, slots: Sequence[ParticipantSlot]
     ) -> "RoundOutcome | None":
         """Simulate the round's system dynamics before any training runs.
 
@@ -602,26 +631,30 @@ class FederatedAlgorithm(ABC):
             uplink_scale = self._codec.nominal_bytes_per_param / 4.0
         dispatches = [
             ClientDispatch(
-                client_id=client_id,
-                params_down=self.pool.by_name(sent_name).num_params,
+                client_id=slot.client_id,
+                params_down=slot.params_down,
                 params_up=(
-                    self.pool.by_name(back_name).num_params
+                    slot.params_up
                     if uplink_scale == 1.0
-                    else max(1, int(round(self.pool.by_name(back_name).num_params * uplink_scale)))
+                    else max(1, int(round(slot.params_up * uplink_scale)))
                 ),
-                flops_per_sample=self.submodel_flops(back_name),
-                num_samples=self.clients[client_id].num_samples,
+                flops_per_sample=self.submodel_flops(slot.group_sizes),
+                num_samples=self.clients[slot.client_id].num_samples,
                 local_epochs=self.local_config.local_epochs,
             )
-            for client_id, sent_name, back_name in zip(selected_clients, dispatched_names, returned_names)
+            for slot in slots
         ]
         return self.fleet.simulate_round(round_index, dispatches)
 
-    def finalize_round(self, record: RoundRecord, outcome: "RoundOutcome | None" = None) -> RoundRecord:
-        """Attach the round's system accounting to its record (shared hook).
+    def finalize_round(
+        self,
+        record: RoundRecord,
+        slots: Sequence[ParticipantSlot],
+        outcome: "RoundOutcome | None",
+    ) -> RoundRecord:
+        """Attach the round's system accounting to its record.
 
-        Every algorithm returns ``self.finalize_round(record, outcome)`` at
-        the end of :meth:`run_round`: with a fleet outcome it records the
+        The last step of :meth:`run_round`: with a fleet outcome it records the
         simulated duration, per-client arrivals, dropped clients, the
         deadline and the bytes moved; otherwise it falls back to the
         legacy test-bed clock (or leaves the record untimed).
@@ -647,9 +680,7 @@ class FederatedAlgorithm(ABC):
                 "codec_raw_bytes_up_total", "uncompressed bytes the same uploads would have moved"
             ).inc(codec_raw_up)
         if outcome is None:
-            record.wall_clock_seconds = self.simulate_round_time(
-                record.round_index, record.selected_clients, record.dispatched, record.returned
-            )
+            record.wall_clock_seconds = self.simulate_round_time(slots)
             # measured wire bytes (exact or encoded) — populated whenever the
             # round actually moved payloads, so codec ratios have a baseline
             if codec_bytes_up > 0 or codec_bytes_down > 0:

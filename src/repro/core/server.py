@@ -21,16 +21,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.api.registry import register_algorithm
-from repro.core.aggregation import ClientUpdate
-from repro.core.client import ClientRoundResult
 from repro.core.config import AdaptiveFLConfig
-from repro.core.fl_base import FederatedAlgorithm
-from repro.core.history import RoundRecord
-from repro.core.metrics import communication_waste_rate
+from repro.core.fl_base import FederatedAlgorithm, ParticipantSlot
 from repro.core.model_pool import SubmodelConfig
-from repro.core.pruning import extract_submodel_state, resource_aware_prune
+from repro.core.pruning import resource_aware_prune
 from repro.core.rl_selection import RLClientSelector, StreamingRLClientSelector
 from repro.engine.tasks import LocalRoundTask
+from repro.engine.transport import StateHandle
 from repro.sim.cohorts import STREAMING_SELECTION_THRESHOLD
 
 __all__ = ["AdaptiveFL"]
@@ -114,21 +111,17 @@ class AdaptiveFL(FederatedAlgorithm):
         index = int(rng.integers(0, len(self.pool)))
         return self.pool.by_rank(index)
 
-    def run_round(self, round_index: int) -> RoundRecord:
-        """One round: plan serially (Algorithm 1's control flow), train in parallel.
+    def plan_round(self, round_index: int) -> list[ParticipantSlot]:
+        """Plan the round serially, exactly as Algorithm 1's control flow dictates.
 
-        The round splits into two phases.  The **planning** phase walks the
-        participant slots in order — draw a pool entry, select a client,
-        update the RL tables — exactly as the sequential protocol dictates:
-        later slots must see earlier slots' table updates.  Those updates
-        need only the ⟨dispatched, returned⟩ pair (Algorithm 1, lines
-        12-26), and the returned size is the deterministic outcome of
-        resource-aware pruning under the capacity the server's resource
-        model already simulates, so the whole control flow resolves before
-        any training happens.  The **execution** phase then fans the
-        independent local rounds out through the executor; per-client RNG
-        streams make the result bit-identical to the historical fully
-        sequential implementation for every executor choice.
+        Walk the participant slots in order — draw a pool entry, select a
+        client, update the RL tables — so later slots see earlier slots'
+        table updates.  Those updates need only the ⟨dispatched,
+        returned⟩ pair (Algorithm 1, lines 12-26), and the returned size
+        is the deterministic outcome of resource-aware pruning under the
+        capacity the server's resource model already simulates, so the
+        whole control flow resolves before any training happens; the
+        independent local rounds then fan out through the executor.
         """
         rng = self.round_rng(round_index)
         streaming = isinstance(self.selector, StreamingRLClientSelector)
@@ -155,10 +148,7 @@ class AdaptiveFL(FederatedAlgorithm):
                 else min(self.dispatch_count(), len(available))
             )
 
-        selected: list[int] = []
-        capacities: list[float] = []
-        dispatched_configs: list[SubmodelConfig] = []
-        planned_returns: list[SubmodelConfig] = []
+        slots: list[ParticipantSlot] = []
         for _ in range(participants):
             dispatched = self._draw_model(rng)
             if streaming:
@@ -168,89 +158,38 @@ class AdaptiveFL(FederatedAlgorithm):
             else:
                 client_id = self.selector.select(dispatched, rng, excluded=excluded)
                 excluded.add(client_id)
-            selected.append(client_id)
-
-            capacity = self.client_capacity(client_id, round_index)
-            planned_return = resource_aware_prune(self.pool, dispatched, capacity)
+            planned_return = resource_aware_prune(
+                self.pool, dispatched, self.client_capacity(client_id, round_index)
+            )
             self.selector.update(dispatched, planned_return, client_id)
-            capacities.append(capacity)
-            dispatched_configs.append(dispatched)
-            planned_returns.append(planned_return)
-
-        dispatched_names = [config.name for config in dispatched_configs]
-        returned_names = [config.name for config in planned_returns]
-        outcome = self.plan_round_outcome(round_index, selected, dispatched_names, returned_names)
-        keep = list(outcome.aggregated_positions()) if outcome is not None else list(range(participants))
-
-        # slice/delta transport: publish the global state once; each task
-        # carries only a handle plus the *planned-return* configuration, so
-        # the worker cuts exactly the slice the device trains.  Legacy
-        # "full" transport ships the dispatched slice inside the task.
-        handle = self.publish_state(self.global_state)
-        tasks = [
-            LocalRoundTask(
-                client=self.dispatch_client(selected[i]),
-                pool=self.pool,
-                dispatched=dispatched_configs[i],
-                dispatched_state=(
-                    handle
-                    if handle is not None
-                    else extract_submodel_state(self.global_state, self.pool, dispatched_configs[i])
-                ),
-                available_capacity=capacities[i],
-                rng_stream=self.client_stream(round_index, selected[i]),
-                planned_return=planned_returns[i] if handle is not None else None,
-                delta_upload=handle is not None,
-                codec=self._codec,
-                codec_residual=self.codec_residual_for(
-                    selected[i], self.pool.group_sizes(planned_returns[i])
-                ),
-                trace=self.task_trace(),
-            )
-            for i in keep
-        ]
-        for i in keep:
-            # modeled downlink: the slice the device trains (delta mode)
-            # or the dispatched slice it receives (full mode)
-            config = planned_returns[i] if handle is not None else dispatched_configs[i]
-            self.count_downlink(num_params=config.num_params)
-        with self.profiler.scope("round.training"):
-            results: list[ClientRoundResult] = self.execute_client_tasks(tasks)
-        for i, result in zip(keep, results):
-            if result.returned.name != planned_returns[i].name:  # pragma: no cover - invariant
-                raise RuntimeError(
-                    f"client {result.client_id} returned {result.returned.name} but the "
-                    f"resource plan predicted {planned_returns[i].name}"
+            slots.append(
+                ParticipantSlot(
+                    client_id=client_id,
+                    dispatched=dispatched.name,
+                    returned=planned_return.name,
+                    group_sizes=self.pool.group_sizes(planned_return),
+                    params_down=dispatched.num_params,
+                    params_up=planned_return.num_params,
                 )
-
-        if results:
-            # generator, not a list: each decoded full-size update exists only
-            # while the aggregator folds it into the reused partial-sum
-            # buffers, so peak memory holds one delta instead of all of them
-            updates = (
-                ClientUpdate(
-                    self.decode_result_state(
-                        result.state, self.pool.group_sizes(result.returned), self.global_state
-                    ),
-                    result.num_samples,
-                )
-                for result in results
             )
-            self.global_state = self.aggregate(updates)
+        return slots
 
-        # waste counts every dispatch: a dropped/late client's downlinked model
-        # returns nothing, which is exactly the waste the paper's §4.4 rate measures
-        aggregated = set(keep)
-        sent_sizes = [config.num_params for config in dispatched_configs]
-        back_sizes = [
-            planned_returns[i].num_params if i in aggregated else 0 for i in range(participants)
-        ]
-        record = RoundRecord(
-            round_index=round_index,
-            train_loss=float(np.mean([result.mean_loss for result in results])) if results else None,
-            communication_waste=communication_waste_rate(sent_sizes, back_sizes) if selected else None,
-            dispatched=dispatched_names,
-            returned=returned_names,
-            selected_clients=selected,
+    def make_task(self, round_index: int, slot: ParticipantSlot, handle: StateHandle) -> LocalRoundTask:
+        """The device runs its own round: prune to its capacity, then train.
+
+        The task carries the *planned-return* configuration, so the worker
+        cuts exactly the slice the device trains, and it fails loudly if
+        the device pruned to anything else.
+        """
+        return LocalRoundTask(
+            client=self.dispatch_client(slot.client_id),
+            pool=self.pool,
+            dispatched=self.pool.by_name(slot.dispatched),
+            dispatched_state=handle,
+            available_capacity=self.client_capacity(slot.client_id, round_index),
+            rng_stream=self.client_stream(round_index, slot.client_id),
+            planned_return=self.pool.by_name(slot.returned),
+            codec=self._codec,
+            codec_residual=self.codec_residual_for(slot.client_id, slot.group_sizes),
+            trace=self.task_trace(),
         )
-        return self.finalize_round(record, outcome)

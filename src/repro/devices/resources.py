@@ -10,7 +10,7 @@ Conceptually this is device-side information the real server never
 observes; in the simulation the value feeds the simulated device's
 resource-aware pruning — both when the client trains and when AdaptiveFL's
 planning phase predicts that same pruning outcome to update its RL tables
-before training fans out (see ``AdaptiveFL.run_round``).  No algorithm may
+before training fans out (see ``AdaptiveFL.plan_round``).  No algorithm may
 use it to steer client *selection*.
 """
 

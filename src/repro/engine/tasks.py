@@ -9,12 +9,11 @@ fields, mutate nothing shared, and derive all randomness from their
 executors and worker counts.
 
 Weight transport (see :mod:`repro.engine.transport`): ``initial_state``/
-``dispatched_state`` may be either a plain mapping (legacy "full" mode:
-the slice travels inside the task) or a :class:`StateHandle` — the
-worker resolves the handle against its per-process cache of the
-published global state and cuts the submodel slice locally, so the task
-payload stays tiny.  With ``delta_upload`` the trained weights return as
-a bit-exact XOR :class:`StateDelta` against the received slice.
+``dispatched_state`` is a :class:`StateHandle` — the worker resolves it
+against its per-process cache of the published global state and cuts
+the submodel slice locally, so the task payload stays tiny.  The trained
+weights return as a bit-exact XOR :class:`StateDelta` against that
+slice, or as a codec payload when a lossy codec is set.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from repro.core.config import LocalTrainingConfig
 from repro.core.local_training import LocalTrainingResult, train_local_model
 from repro.core.model_pool import ModelPool, SubmodelConfig
 from repro.core.pruning import slice_state_dict
-from repro.data.datasets import Dataset
 from repro.engine.codecs import UpdateCodec, encode_client_update
 from repro.engine.transport import StateHandle, encode_state_delta
 from repro.nn.models.spec import SlimmableArchitecture
@@ -40,19 +38,16 @@ __all__ = ["ClientTask", "LocalRoundTask", "TrainSubmodelTask"]
 
 
 def _resolve_state(
-    source: "Mapping[str, np.ndarray] | StateHandle",
+    source: StateHandle,
     architecture: SlimmableArchitecture,
     group_sizes: Mapping[str, int],
 ) -> Mapping[str, np.ndarray]:
-    """Materialise the submodel slice a task trains.
+    """Materialise the submodel slice a task trains (worker-side).
 
-    A :class:`StateHandle` resolves to the worker-cached global state and
-    is sliced here (worker-side); a plain mapping is the pre-sliced
-    legacy payload and passes through untouched.
+    The handle resolves to the worker-cached global state, which is
+    sliced here.
     """
-    if isinstance(source, StateHandle):
-        return slice_state_dict(source.load(), architecture, dict(group_sizes))
-    return source
+    return slice_state_dict(source.load(), architecture, dict(group_sizes))
 
 
 class ClientTask(ABC):
@@ -75,28 +70,27 @@ class LocalRoundTask(ClientTask):
     """AdaptiveFL's full client round: adapt (prune) then train (Algorithm 1).
 
     The device-side resource adaptation runs inside the task, exactly as it
-    would on a real client; the server only planned the dispatch.  Under
-    slice transport the task carries only the *planned-return*
-    configuration's slice (the weights the device actually trains — a
-    prefix of the dispatched model, so slicing the global state directly
-    to it is value-identical to pruning the dispatched slice on device).
+    would on a real client; the server only planned the dispatch.  The
+    worker cuts only the *planned-return* configuration's slice (the
+    weights the device actually trains — a prefix of the dispatched model,
+    so slicing the global state directly to it is value-identical to
+    pruning the dispatched slice on device), and the task fails if the
+    device pruned to anything other than the plan.
     """
 
     client: SimulatedClient
     pool: ModelPool
     dispatched: SubmodelConfig
-    dispatched_state: "Mapping[str, np.ndarray] | StateHandle"
+    dispatched_state: StateHandle
     available_capacity: float
     # required on purpose: an OS-entropy default would silently break the
     # engine's determinism guarantee
     rng_stream: np.random.SeedSequence
-    #: the submodel the resource plan predicts the device trains; used to
-    #: cut the slice worker-side when ``dispatched_state`` is a handle
-    planned_return: SubmodelConfig | None = None
-    delta_upload: bool = False
-    #: lossy update codec (takes precedence over ``delta_upload``); the
-    #: trained slice uploads as an :class:`EncodedUpdate` of
-    #: ``trained − reference``, rounded on the task's own stream
+    #: the submodel the resource plan predicts the device trains
+    planned_return: SubmodelConfig
+    #: lossy update codec; the trained slice uploads as an
+    #: :class:`EncodedUpdate` of ``trained − reference``, rounded on the
+    #: task's own stream (None = exact XOR delta)
     codec: UpdateCodec | None = None
     #: server-banked error-feedback carry for this client (sliced to the
     #: dispatched shapes), added to the update before encoding
@@ -106,9 +100,8 @@ class LocalRoundTask(ClientTask):
 
     def run(self) -> ClientRoundResult:
         """Execute the client's full local round (worker-side entry point)."""
-        slice_config = self.planned_return if self.planned_return is not None else self.dispatched
         initial_state = _resolve_state(
-            self.dispatched_state, self.pool.architecture, self.pool.group_sizes(slice_config)
+            self.dispatched_state, self.pool.architecture, self.pool.group_sizes(self.planned_return)
         )
         result = self.client.local_round(
             pool=self.pool,
@@ -117,10 +110,12 @@ class LocalRoundTask(ClientTask):
             available_capacity=self.available_capacity,
             rng=self.rng(),
         )
+        if result.returned.name != self.planned_return.name:
+            raise RuntimeError(
+                f"client {result.client_id} returned {result.returned.name} but the "
+                f"resource plan predicted {self.planned_return.name}"
+            )
         if self.codec is not None:
-            # encode_client_update prefix-slices the reference to the
-            # trained shapes, which matches slice_state_dict's prefix cut
-            # bit-for-bit even when the device pruned below the plan
             result.state = encode_client_update(
                 self.codec,
                 result.state,
@@ -129,13 +124,8 @@ class LocalRoundTask(ClientTask):
                 residual=self.codec_residual,
                 client_id=self.client.client_id,
             )
-        elif self.delta_upload:
-            reference = initial_state
-            if result.returned.name != slice_config.name:  # pragma: no cover - plan invariant
-                reference = slice_state_dict(
-                    dict(initial_state), self.pool.architecture, self.pool.group_sizes(result.returned)
-                )
-            result.state = encode_state_delta(result.state, reference)
+        else:
+            result.state = encode_state_delta(result.state, initial_state)
         return result
 
 
@@ -145,13 +135,12 @@ class TrainSubmodelTask(ClientTask):
 
     architecture: SlimmableArchitecture
     group_sizes: Mapping[str, int]
-    initial_state: "Mapping[str, np.ndarray] | StateHandle"
-    dataset: "Dataset | StateHandle"
+    initial_state: StateHandle
+    dataset: StateHandle
     local_config: LocalTrainingConfig
     rng_stream: np.random.SeedSequence
     client_id: int = -1
-    delta_upload: bool = False
-    #: lossy update codec (takes precedence over ``delta_upload``)
+    #: lossy update codec (None = exact XOR delta)
     codec: UpdateCodec | None = None
     #: server-banked error-feedback carry for this client
     codec_residual: "Mapping[str, np.ndarray] | None" = None
@@ -161,12 +150,11 @@ class TrainSubmodelTask(ClientTask):
     def run(self) -> LocalTrainingResult:
         """Train the assigned submodel on the client's data (worker-side)."""
         initial_state = _resolve_state(self.initial_state, self.architecture, self.group_sizes)
-        dataset = self.dataset.load() if isinstance(self.dataset, StateHandle) else self.dataset
         result = train_local_model(
             architecture=self.architecture,
             group_sizes=self.group_sizes,
             initial_state=initial_state,
-            dataset=dataset,
+            dataset=self.dataset.load(),
             config=self.local_config,
             rng=self.rng(),
         )
@@ -182,6 +170,6 @@ class TrainSubmodelTask(ClientTask):
                     client_id=self.client_id,
                 ),
             )
-        elif self.delta_upload:
+        else:
             result = dataclass_replace(result, state=encode_state_delta(result.state, initial_state))
         return result

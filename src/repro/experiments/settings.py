@@ -51,7 +51,9 @@ class ExperimentSetting:
     """One cell of the paper's evaluation grid."""
 
     dataset: str = "cifar10"
-    model: str = "vgg16"
+    #: architecture registry name; the default builds at every scale
+    #: (vgg16/resnet18 need 32px inputs, i.e. the "paper" scale)
+    model: str = "simple_cnn"
     #: "iid", "dirichlet" or "natural"
     distribution: str = "iid"
     alpha: float | None = None
@@ -65,9 +67,6 @@ class ExperimentSetting:
     max_workers: int | None = None
     #: registered fleet scenario (repro.sim) driving system dynamics, or None
     scenario: str | None = None
-    #: weight transport: "delta" (slice download + XOR-delta upload, the
-    #: default) or "full" (legacy per-task weight shipping); bit-identical
-    transport: str = "delta"
     #: lossy update codec on the uplink ("none", "fp16", "int8", "topk");
     #: see :mod:`repro.engine.codecs` — "none" keeps exact transport
     transport_codec: str = "none"
@@ -82,8 +81,6 @@ class ExperimentSetting:
             raise ValueError("dirichlet distribution requires alpha")
         validate_executor_choice(self.executor, self.max_workers)
         validate_scenario_choice(self.scenario)
-        if self.transport not in {"delta", "full"}:
-            raise ValueError("transport must be 'delta' or 'full'")
         from repro.engine.codecs import available_codecs
 
         if self.transport_codec not in available_codecs():
@@ -239,7 +236,6 @@ def prepare_experiment(setting: ExperimentSetting) -> PreparedExperiment:
         executor=setting.executor,
         max_workers=setting.max_workers,
         scenario=setting.scenario,
-        transport=setting.transport,
         transport_codec=setting.transport_codec,
     )
     local_config = LocalTrainingConfig(

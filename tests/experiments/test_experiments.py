@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.config import FederatedConfig
 from repro.core.history import RoundRecord, TrainingHistory
 from repro.experiments import (
     ALL_ALGORITHM_NAMES,
@@ -54,6 +55,16 @@ class TestSettings:
             ExperimentSetting(distribution="dirichlet")  # missing alpha
         with pytest.raises(ValueError):
             ExperimentSetting(distribution="zipf")
+
+    def test_default_setting_prepares_and_builds(self):
+        prepared = prepare_experiment(ExperimentSetting())
+        prepared.architecture.build()
+
+    def test_transport_key_rejected(self):
+        with pytest.raises(ValueError, match="'transport'"):
+            ExperimentSetting.from_dict({"transport": "delta"})
+        with pytest.raises(ValueError, match="'transport'"):
+            FederatedConfig.from_dict({"transport": "full"})
 
     def test_prepare_experiment_wiring(self):
         setting = ExperimentSetting(dataset="cifar10", model="simple_cnn", distribution="iid", scale="ci")

@@ -1,9 +1,10 @@
-"""CLI integration of the perf layer: --profile and --transport flags."""
+"""CLI integration of the perf layer: the --profile flag (and no --transport flag)."""
 
 import json
 
+import pytest
+
 from repro.api.cli import main
-from repro.api.spec import ExperimentSpec
 
 
 class TestCliProfileFlag:
@@ -24,16 +25,14 @@ class TestCliProfileFlag:
         assert "profile — heterofl" in out
         assert "round.training" in out
 
-    def test_transport_flag_recorded_in_spec(self, tmp_path):
-        rc = main(
-            [
-                "run", "--algorithm", "heterofl", "--scale", "ci", "--rounds", "1",
-                "--transport", "full", "--quiet", "--output-dir", str(tmp_path),
-            ]
-        )
-        assert rc == 0
-        spec = ExperimentSpec.load(tmp_path / "spec.json")
-        assert spec.setting.transport == "full"
+    def test_transport_flag_rejected(self, capsys):
+        """The weight transport is not a setting, and --transport must not
+        be read as an abbreviation of --transport-codec either."""
+        for value in ("full", "delta", "none"):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["run", "--algorithm", "heterofl", "--transport", value, "--quiet"])
+            assert excinfo.value.code == 2
+            assert "unrecognized arguments: --transport" in capsys.readouterr().err
 
     def test_no_profile_flag_writes_no_profile(self, tmp_path):
         rc = main(

@@ -1,16 +1,18 @@
-"""Slice/delta transport: exact codecs, worker caching, and bit-parity
-of delta transport against legacy full-weight transport."""
+"""Slice/delta transport: exact codecs, worker caching, and bit-exact
+uploads checked against training the server-cut slice directly."""
 
 import pickle
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.baselines import HeteroFL
 from repro.core.config import AdaptiveFLConfig, FederatedConfig, LocalTrainingConfig
+from repro.core.local_training import train_local_model
+from repro.core.pruning import slice_state_dict
 from repro.core.server import AdaptiveFL
 from repro.engine.base import Executor, run_task
+from repro.engine.tasks import LocalRoundTask
 from repro.engine.transport import (
     StateStore,
     apply_state_delta,
@@ -20,22 +22,6 @@ from repro.engine.transport import (
 
 FEDERATED = FederatedConfig(num_rounds=2, clients_per_round=4, eval_every=2)
 LOCAL = LocalTrainingConfig(local_epochs=1, batch_size=25, max_batches_per_epoch=3)
-
-
-class PickleRoundTripExecutor(Executor):
-    """Serial executor that pickles tasks and results, as a process pool
-    would, and advertises itself as inter-process so the transport layer
-    takes the spill-file path."""
-
-    name = "pickle-roundtrip"
-    is_interprocess = True
-
-    def map(self, tasks):
-        results = []
-        for task in tasks:
-            clone = pickle.loads(pickle.dumps(task, protocol=pickle.HIGHEST_PROTOCOL))
-            results.append(pickle.loads(pickle.dumps(run_task(clone), protocol=pickle.HIGHEST_PROTOCOL)))
-        return results
 
 
 class TestDeltaCodec:
@@ -104,8 +90,7 @@ class TestStateStore:
             clone.load()
 
 
-def build_algorithm(name, easy_setup, transport, executor="serial"):
-    federated = replace(FEDERATED, transport=transport, executor=executor, max_workers=2)
+def build_algorithm(name, easy_setup):
     kwargs = dict(
         architecture=easy_setup["arch"],
         train_dataset=easy_setup["train"],
@@ -117,53 +102,88 @@ def build_algorithm(name, easy_setup, transport, executor="serial"):
     )
     if name == "adaptivefl":
         return AdaptiveFL(
-            algorithm_config=AdaptiveFLConfig(federated=federated, local=LOCAL, pool=easy_setup["pool"]),
+            algorithm_config=AdaptiveFLConfig(federated=FEDERATED, local=LOCAL, pool=easy_setup["pool"]),
             **kwargs,
         )
-    return HeteroFL(federated_config=federated, local_config=LOCAL, **kwargs)
+    return HeteroFL(federated_config=FEDERATED, local_config=LOCAL, **kwargs)
 
 
-def fingerprint(algorithm):
-    return [
-        {
-            "round": record.round_index,
-            "selected": list(record.selected_clients),
-            "dispatched": list(record.dispatched),
-            "returned": list(record.returned),
-            "train_loss": record.train_loss,
-            "full_accuracy": record.full_accuracy,
-            "avg_accuracy": record.avg_accuracy,
-            "level_accuracies": dict(record.level_accuracies),
-            "communication_waste": record.communication_waste,
-        }
-        for record in algorithm.history.records
-    ]
+class OracleExecutor(Executor):
+    """Runs every task and checks its upload against an independent oracle.
+
+    The oracle trains the server-cut slice directly — ``train_local_model``
+    on ``slice_state_dict`` of the algorithm's published global state, the
+    client's own data and the task's ``rng_stream`` — and the task's
+    decoded delta upload must equal it bit-for-bit.  With
+    ``pickle_roundtrip`` tasks and results cross a pickle boundary and the
+    executor advertises itself as inter-process, so the transport takes
+    the spill-file path.
+    """
+
+    name = "oracle"
+
+    def __init__(self, algorithm, pickle_roundtrip=False):
+        self.algorithm = algorithm
+        self.is_interprocess = pickle_roundtrip
+        self.checked = 0
+
+    def map(self, tasks):
+        results = []
+        for task in tasks:
+            if self.is_interprocess:
+                clone = pickle.loads(pickle.dumps(task, protocol=pickle.HIGHEST_PROTOCOL))
+                result = pickle.loads(pickle.dumps(run_task(clone), protocol=pickle.HIGHEST_PROTOCOL))
+            else:
+                result = run_task(task)
+            reference, expected = self.oracle(task)
+            decoded = decode_upload(result.state, reference)
+            assert set(decoded) == set(expected)
+            for key, value in expected.items():
+                assert np.array_equal(
+                    np.asarray(decoded[key]).view(np.uint8), np.asarray(value).view(np.uint8)
+                ), f"upload differs from the oracle in {key!r}"
+            self.checked += 1
+            results.append(result)
+        return results
+
+    def oracle(self, task):
+        algorithm = self.algorithm
+        if isinstance(task, LocalRoundTask):
+            client_id = task.client.client_id
+            group_sizes = algorithm.pool.group_sizes(task.planned_return)
+        else:
+            client_id = task.client_id
+            group_sizes = task.group_sizes
+        reference = slice_state_dict(algorithm.global_state, algorithm.architecture, dict(group_sizes))
+        trained = train_local_model(
+            architecture=algorithm.architecture,
+            group_sizes=group_sizes,
+            initial_state=reference,
+            dataset=algorithm.clients[client_id].dataset,
+            config=algorithm.local_config,
+            rng=np.random.default_rng(task.rng_stream),
+        )
+        return reference, trained.state
 
 
 class TestDeltaTransportParity:
-    """Satellite: delta transport is bit-identical to full-weight transport
-    (histories *and* final weights) for AdaptiveFL and HeteroFL."""
+    """Every decoded upload equals training the server-cut slice directly,
+    for AdaptiveFL and HeteroFL, in process and across a pickle boundary."""
 
     @pytest.mark.parametrize("name", ["adaptivefl", "heterofl"])
     def test_serial_bit_identical(self, easy_setup, name):
-        full = build_algorithm(name, easy_setup, "full")
-        full.run()
-        delta = build_algorithm(name, easy_setup, "delta")
-        delta.run()
-        assert fingerprint(delta) == fingerprint(full)
-        assert set(delta.global_state) == set(full.global_state)
-        for key, value in delta.global_state.items():
-            assert np.array_equal(value, full.global_state[key]), f"weights differ in {key!r}"
+        algorithm = build_algorithm(name, easy_setup)
+        executor = OracleExecutor(algorithm)
+        algorithm.set_executor(executor)
+        algorithm.run()
+        assert executor.checked == sum(len(r.selected_clients) for r in algorithm.history.records)
 
     @pytest.mark.parametrize("name", ["adaptivefl", "heterofl"])
     def test_spill_path_bit_identical(self, easy_setup, name):
         """Same check across a real pickle boundary (spill files + worker
         cache + XOR-delta uploads), without the cost of a process pool."""
-        full = build_algorithm(name, easy_setup, "full")
-        full.run()
-        delta = build_algorithm(name, easy_setup, "delta")
-        delta.set_executor(PickleRoundTripExecutor())
-        delta.run()
-        assert fingerprint(delta) == fingerprint(full)
-        for key, value in delta.global_state.items():
-            assert np.array_equal(value, full.global_state[key]), f"weights differ in {key!r}"
+        algorithm = build_algorithm(name, easy_setup)
+        executor = OracleExecutor(algorithm, pickle_roundtrip=True)
+        algorithm.set_executor(executor)
+        algorithm.run()
+        assert executor.checked == sum(len(r.selected_clients) for r in algorithm.history.records)
