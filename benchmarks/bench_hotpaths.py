@@ -8,7 +8,7 @@ layer.  It writes ``BENCH_hotpaths.json`` with three sections:
   GEMM GFLOP/s), which damps machine-to-machine variance on CI runners.
 * ``micro`` — per-op timings of the reworked kernels against their
   historical reference implementations (im2col gather, col2im scatter
-  vs. the Python ``kh×kw`` loop, flat-``bincount`` maxpool backward vs.
+  vs. the Python ``kh×kw`` loop, window-pass maxpool backward vs.
   4-axis ``np.add.at``), at training- and evaluation-scale geometries.
 * ``end_to_end`` — rounds/sec of **all five algorithms** on the CI
   setting, serial and process executors, raw mode (no emulated device
@@ -142,7 +142,7 @@ def measure_micro() -> list[dict]:
                 "col2im_scatter_us": round(col2im_s * 1e6, 2),
                 "col2im_loop_reference_us": round(col2im_ref_s * 1e6, 2),
                 "col2im_speedup": round(col2im_ref_s / col2im_s, 2),
-                "maxpool_bwd_bincount_us": round(maxpool_bwd_s * 1e6, 2),
+                "maxpool_bwd_us": round(maxpool_bwd_s * 1e6, 2),
                 "maxpool_bwd_reference_us": round(maxpool_ref_s * 1e6, 2),
                 "maxpool_bwd_speedup": round(maxpool_ref_s / maxpool_bwd_s, 2),
             }
@@ -305,7 +305,7 @@ def render(payload: dict) -> str:
     for row in payload["micro"]:
         lines.append(
             f"{row['geometry']:<12} {row['im2col_us']:>10.1f} {row['col2im_scatter_us']:>10.1f} "
-            f"{row['col2im_loop_reference_us']:>11.1f} {row['maxpool_bwd_bincount_us']:>11.1f} "
+            f"{row['col2im_loop_reference_us']:>11.1f} {row['maxpool_bwd_us']:>11.1f} "
             f"{row['maxpool_bwd_reference_us']:>8.1f}"
         )
     lines.append("")

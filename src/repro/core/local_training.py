@@ -54,6 +54,8 @@ def train_local_model(
     model = architecture.build(group_sizes, rng=np.random.default_rng(int(rng.integers(0, 2**31 - 1))))
     model.load_state_dict({name: np.asarray(value) for name, value in initial_state.items()})
     model.train()
+    # nothing reads the gradient with respect to the images
+    model.stem.input_grad = False
 
     optimizer = SGD(
         model.parameters(),

@@ -11,10 +11,13 @@ Hot-path design (see ``repro.perf``):
   :class:`repro.perf.workspace.Workspace` and write into reusable
   buffers instead of allocating per batch — conv/pool *modules* own one
   workspace each and pass it down;
-* the fold/scatter adjoints (:func:`col2im`,
-  :func:`maxpool2d_backward`) are vectorised over precomputed flat
-  scatter indices (cached per geometry, shared process-wide) instead of
-  Python ``kh×kw`` loops or 4-axis fancy indexing;
+* the :func:`col2im` fold is one flat scatter over precomputed indices
+  (cached per geometry, shared process-wide) instead of a Python
+  ``kh×kw`` loop;
+* max pooling (forward and backward) runs as ``kernel²`` passes over
+  strided window views — no patch gather, no flat scatter indices;
+* :func:`conv2d_backward` can skip the input gradient (GEMM and fold)
+  of a network's first conv, whose input is the data;
 * 1×1 stride-1 unpadded convolutions skip the im2col lowering entirely
   and run as batched GEMMs on reshaped views — no column copy at all
   (the "contiguity-aware" fast path: the strides of an NCHW tensor
@@ -269,11 +272,13 @@ def conv2d_forward(
 
 
 def conv2d_backward(
-    grad_out: np.ndarray, cache: tuple, ws: Workspace | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    grad_out: np.ndarray, cache: tuple, ws: Workspace | None = None, input_grad: bool = True
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """Backward pass of :func:`conv2d_forward`.
 
-    Returns ``(grad_x, grad_weight, grad_bias)``.
+    Returns ``(grad_x, grad_weight, grad_bias)``.  ``input_grad=False``
+    skips the input-gradient GEMM and the :func:`col2im` fold and returns
+    ``grad_x=None`` — for a network's first conv, whose input is the data.
     """
     x_shape, cols, weight, stride, padding, pointwise = cache
     c_out, c_in, kh, kw = weight.shape
@@ -285,6 +290,8 @@ def conv2d_backward(
         grad_flat = grad_out.reshape(n, c_out, h * w)
         grad_bias = grad_flat.sum(axis=(0, 2))
         grad_w = np.matmul(grad_flat, x_flat.transpose(0, 2, 1)).sum(axis=0).reshape(weight.shape)
+        if not input_grad:
+            return None, grad_w, grad_bias
         grad_x = np.matmul(weight.reshape(c_out, c_in).T, grad_flat).reshape(x_shape)
         return grad_x, grad_w, grad_bias
 
@@ -292,6 +299,8 @@ def conv2d_backward(
     grad_flat = grad_out.reshape(n, c_out, -1)
     grad_bias = grad_flat.sum(axis=(0, 2))
     grad_w = np.matmul(grad_flat, cols.transpose(0, 2, 1)).sum(axis=0).reshape(c_out, c_in, kh, kw)
+    if not input_grad:
+        return None, grad_w, grad_bias
     grad_cols = np.matmul(weight.reshape(c_out, -1).T, grad_flat)  # (N, C·k², P)
     grad_x = col2im(grad_cols, x_shape, kh, kw, stride, padding, ws)
     return grad_x, grad_w, grad_bias
@@ -344,6 +353,14 @@ def depthwise_conv2d_backward(
     return grad_x, grad_w, grad_bias
 
 
+def _pool_windows(x: np.ndarray, kernel: int, stride: int, out_h: int, out_w: int):
+    """The ``kernel²`` strided window views of a pooling grid, each of shape
+    ``(N, C, out_h, out_w)``, in row-major window order ``0..kernel²−1``."""
+    for i in range(kernel):
+        for j in range(kernel):
+            yield x[:, :, i : i + stride * out_h : stride, j : j + stride * out_w : stride]
+
+
 def maxpool2d_forward(
     x: np.ndarray,
     kernel: int,
@@ -353,67 +370,47 @@ def maxpool2d_forward(
 ) -> tuple[np.ndarray, tuple]:
     """Max pooling forward pass (no padding).
 
-    ``need_argmax=False`` (inference) skips the patch gather and argmax
-    entirely: the maximum is reduced over ``kernel²`` strided window
-    views, which is both allocation-free and much faster — the returned
-    cache is then unusable for :func:`maxpool2d_backward`.
+    One ``np.maximum`` pass per strided window view; with ``need_argmax``
+    (training) each pass also records the window index of the maximum
+    under a strict ``>``, so the first maximum wins exactly as with
+    ``np.argmax``.  ``need_argmax=False`` (inference) returns a cache that
+    is unusable for :func:`maxpool2d_backward`.  Ties between ``-0.0`` and
+    ``+0.0`` may return either zero (ReLU outputs hold no ``-0.0``).
     """
-    n, c, h, w = x.shape
-    out_h = conv_output_size(h, kernel, stride, 0)
-    out_w = conv_output_size(w, kernel, stride, 0)
-    if not need_argmax:
-        out = None
-        for i in range(kernel):
-            for j in range(kernel):
-                window = x[:, :, i : i + stride * out_h : stride, j : j + stride * out_w : stride]
-                if out is None:
-                    out = np.array(window, copy=True)
-                else:
-                    np.maximum(out, window, out=out)
-        return out, (x.shape, None, kernel, stride)
-    ws = _owned_or_fresh(ws)
-    patches = _patch_view(x, kernel, kernel, stride)
-    flat = ws.get(("maxpool", x.shape, kernel, stride), (n, c, out_h, out_w, kernel * kernel), x.dtype)
-    np.copyto(flat.reshape(patches.shape), patches)
-    argmax = flat.argmax(axis=-1)
-    out = np.take_along_axis(flat, argmax[..., None], axis=-1)[..., 0]
-    cache = (x.shape, argmax, kernel, stride)
-    return out, cache
-
-
-def _pool_base_indices(x_shape: tuple[int, int, int, int], out_h: int, out_w: int) -> np.ndarray:
-    """Per-(n, c) flat offsets of the pooling grid origin (cached)."""
-    key = ("poolbase", x_shape, out_h, out_w)
-    cached = _SCATTER_INDEX_CACHE.get(key)
-    if cached is not None:
-        return cached
-    n, c, h, w = x_shape
-    base = (np.arange(n * c, dtype=np.intp) * (h * w))[:, None, None]
-    base = np.ascontiguousarray(np.broadcast_to(base, (n * c, out_h, out_w))).reshape(n, c, out_h, out_w)
-    _SCATTER_INDEX_CACHE[key] = base
-    return base
+    out_h = conv_output_size(x.shape[2], kernel, stride, 0)
+    out_w = conv_output_size(x.shape[3], kernel, stride, 0)
+    windows = _pool_windows(x, kernel, stride, out_h, out_w)
+    out = np.array(next(windows), copy=True)
+    argmax = better = None
+    if need_argmax:
+        argmax = np.zeros(out.shape, dtype=np.intp)
+        better = _owned_or_fresh(ws).get(("maxpool_better", x.shape, kernel, stride), out.shape, np.bool_)
+    for index, window in enumerate(windows, start=1):
+        if need_argmax:
+            np.greater(window, out, out=better)
+            np.putmask(argmax, better, index)
+        np.maximum(out, window, out=out)
+    return out, (x.shape, argmax, kernel, stride)
 
 
 def maxpool2d_backward(grad_out: np.ndarray, cache: tuple) -> np.ndarray:
     """Backward pass of :func:`maxpool2d_forward`.
 
-    Routes every output gradient to its argmax input position with one
-    flat ``bincount`` accumulation (duplicate targets cannot occur within
-    a window, but windows may overlap when ``stride < kernel``).
+    Routes the output gradient through the same ``kernel²`` window views:
+    pass ``k`` adds ``grad_out`` masked to the outputs whose argmax is
+    window ``k``.  Overlapping windows (``stride < kernel``) accumulate in
+    window order.
     """
     x_shape, argmax, kernel, stride = cache
     if argmax is None:
         raise RuntimeError("maxpool forward ran without argmax (inference mode); no backward possible")
-    n, c, h, w = x_shape
     out_h, out_w = grad_out.shape[2], grad_out.shape[3]
-
-    rows = argmax // kernel
-    rows += np.arange(out_h, dtype=argmax.dtype)[None, None, :, None] * stride
-    cols = argmax % kernel
-    cols += np.arange(out_w, dtype=argmax.dtype)[None, None, None, :] * stride
-    indices = _pool_base_indices(x_shape, out_h, out_w) + rows * w + cols
-    flat = np.bincount(indices.reshape(-1), weights=grad_out.reshape(-1), minlength=n * c * h * w)
-    return flat.reshape(x_shape).astype(grad_out.dtype, copy=False)
+    grad_x = np.zeros(x_shape, dtype=grad_out.dtype)
+    routed = np.empty_like(grad_out)
+    for index, window in enumerate(_pool_windows(grad_x, kernel, stride, out_h, out_w)):
+        np.multiply(grad_out, argmax == index, out=routed)
+        window += routed
+    return grad_x
 
 
 def maxpool2d_backward_reference(grad_out: np.ndarray, cache: tuple) -> np.ndarray:

@@ -37,6 +37,7 @@ class Conv2d(Module):
         padding: int = 0,
         bias: bool = True,
         rng: np.random.Generator | None = None,
+        input_grad: bool = True,
     ):
         super().__init__()
         if in_channels <= 0 or out_channels <= 0:
@@ -47,6 +48,9 @@ class Conv2d(Module):
         self.kernel_size = kernel_size
         self.stride = stride
         self.padding = padding
+        #: False skips the input-gradient GEMM and fold; ``backward`` then
+        #: returns None (set on a model's stem, whose input is the data)
+        self.input_grad = input_grad
         shape = (out_channels, in_channels, kernel_size, kernel_size)
         self.weight = Parameter(init.kaiming_uniform(shape, rng))
         self.has_bias = bias
@@ -64,10 +68,10 @@ class Conv2d(Module):
         out, self._cache = F.conv2d_forward(x, self.weight.data, bias, self.stride, self.padding, self._ws)
         return out
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, grad_out: np.ndarray) -> np.ndarray | None:
         if self._cache is None:
             raise RuntimeError("backward called before forward")
-        grad_x, grad_w, grad_b = F.conv2d_backward(grad_out, self._cache, self._ws)
+        grad_x, grad_w, grad_b = F.conv2d_backward(grad_out, self._cache, self._ws, self.input_grad)
         self.weight.grad += grad_w
         if self.has_bias:
             self.bias.grad += grad_b
@@ -427,7 +431,8 @@ class Dropout(Module):
             self._mask = None
             return x
         keep = 1.0 - self.p
-        self._mask = (self._rng.random(x.shape) < keep) / keep
+        self._mask = (self._rng.random(x.shape) < keep).astype(x.dtype)
+        self._mask /= keep
         return x * self._mask
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:

@@ -124,6 +124,11 @@ class MobileNetModel(Module):
         self.classifier = classifier
 
     @property
+    def stem(self) -> Conv2d:
+        """The first convolution (its input is the data)."""
+        return self.stem_conv
+
+    @property
     def blocks(self) -> list[InvertedResidual]:
         return [getattr(self, name) for name in self._block_names]
 

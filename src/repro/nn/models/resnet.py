@@ -136,6 +136,11 @@ class ResNetModel(Module):
         self.head = head
 
     @property
+    def stem(self) -> Conv2d:
+        """The first convolution (its input is the data)."""
+        return self.stem_conv
+
+    @property
     def blocks(self) -> list[BasicBlock]:
         return [getattr(self, name) for name in self._block_names]
 

@@ -27,6 +27,11 @@ class SimpleCNNModel(Module):
         self.flatten = Flatten()
         self.classifier = classifier
 
+    @property
+    def stem(self) -> Conv2d:
+        """The first convolution (its input is the data)."""
+        return self.features[0]
+
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = self.features(x)
         x = self.flatten(x)

@@ -194,7 +194,8 @@ class SlimmableArchitecture(ABC):
 
         ``group_sizes=None`` builds the full model.  The returned module
         must be annotated (see :func:`annotate`) so that parameter specs can
-        be derived from it.
+        be derived from it, and expose its first convolution as ``stem``
+        (local training turns off that layer's input gradient).
         """
 
     # -- derived helpers -----------------------------------------------------------

@@ -11,6 +11,7 @@ from repro.core.config import AdaptiveFLConfig, FederatedConfig, LocalTrainingCo
 from repro.core.server import AdaptiveFL
 from repro.data.loader import DataLoader
 from repro.nn.losses import CrossEntropyLoss
+from repro.nn.models import SlimmableVGG
 from repro.nn.optim import SGD
 
 
@@ -47,6 +48,25 @@ class TestDtypeStability:
         optimizer = SGD(model.parameters(), lr=0.01, momentum=0.5, weight_decay=1e-4)
         optimizer.step()
         _assert_all_float32(model.state_dict(), "after step")
+
+    def test_dropout_keeps_forward_backward_float32(self):
+        arch = SlimmableVGG(
+            config="vgg11", num_classes=4, input_shape=(3, 32, 32), width_multiplier=0.1,
+            classifier_widths=(8, 8), dropout=0.5,
+        )
+        model = arch.build(rng=np.random.default_rng(0))
+        model.train()
+        images = np.random.default_rng(1).normal(size=(4, 3, 32, 32)).astype(np.float32)
+        labels = np.random.default_rng(2).integers(0, 4, size=4)
+
+        logits = model(images)
+        assert logits.dtype == np.float32
+
+        loss_fn = CrossEntropyLoss()
+        loss_fn(logits, labels)
+        model.backward(loss_fn.backward())
+        for name, param in model.named_parameters():
+            assert param.grad.dtype == np.float32, name
 
     def test_full_round_keeps_global_state_float32(self, easy_setup):
         federated = FederatedConfig(num_rounds=1, clients_per_round=3, eval_every=1)

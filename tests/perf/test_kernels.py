@@ -3,6 +3,9 @@ historical reference implementations, and workspace-reuse safety."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.nn import functional as F
 from repro.nn.dtype import default_dtype
@@ -39,6 +42,58 @@ class TestMaxPoolBackwardEquivalence:
         assert np.array_equal(out, reference)
         with pytest.raises(RuntimeError):
             F.maxpool2d_backward(np.ones_like(out), cache)
+
+
+def _maxpool_forward_oracle(x, kernel, stride):
+    """The historical max-pool forward: gather every window, then argmax."""
+    windows = np.lib.stride_tricks.sliding_window_view(x, (kernel, kernel), axis=(2, 3))
+    patches = windows[:, :, ::stride, ::stride]
+    flat = patches.reshape(*patches.shape[:4], kernel * kernel)
+    argmax = flat.argmax(axis=-1)
+    out = np.take_along_axis(flat, argmax[..., None], axis=-1)[..., 0]
+    return out, argmax
+
+
+#: pool inputs rich in ties: exact repeats, ReLU zeros and -inf (never -0.0,
+#: whose tie with +0.0 np.maximum may break either way, nor NaN)
+_POOL_VALUES = st.one_of(
+    st.sampled_from([0.0, 1.0, -1.0, -np.inf]),
+    st.floats(-4, 4, width=32).map(lambda v: v + 0.0),
+)
+
+
+class TestMaxPoolForwardOracle:
+    """Window-pass max-pool forward == gather + argmax, byte for byte."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        geometry=st.sampled_from([(2, 2), (3, 3), (3, 2), (2, 1)]),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        layout=st.sampled_from(["raw", "relu", "constant"]),
+        data=st.data(),
+    )
+    def test_matches_gather_argmax(self, geometry, dtype, layout, data):
+        kernel, stride = geometry
+        shape = (
+            data.draw(st.integers(1, 2)),
+            data.draw(st.integers(1, 3)),
+            data.draw(st.integers(kernel, 9)),
+            data.draw(st.integers(kernel, 9)),
+        )
+        x = data.draw(arrays(dtype, shape, elements=_POOL_VALUES))
+        if layout == "relu":
+            np.maximum(x, 0.0, out=x)
+        elif layout == "constant":
+            x.fill(x.flat[0])
+        expected_out, expected_argmax = _maxpool_forward_oracle(x, kernel, stride)
+
+        out, cache = F.maxpool2d_forward(x, kernel, stride)
+        argmax = cache[1]
+        assert out.dtype == dtype and argmax.dtype == expected_argmax.dtype
+        assert out.tobytes() == expected_out.tobytes()
+        assert argmax.tobytes() == expected_argmax.tobytes()
+        inference, _ = F.maxpool2d_forward(x, kernel, stride, need_argmax=False)
+        assert inference.tobytes() == expected_out.tobytes()
 
 
 class TestCol2ImEquivalence:
