@@ -191,9 +191,12 @@ class FederatedAlgorithm(ABC):
             if federated_config.transport_codec != "none"
             else None
         )
-        #: server-banked per-client error-feedback residuals at full-model
-        #: shapes (device-local state in a real fleet; keeping it here keyed
-        #: by client id is what makes lossy runs executor-independent)
+        #: server-banked per-client error-feedback residuals (device-local
+        #: state in a real fleet; keeping it here keyed by client id is what
+        #: makes lossy runs executor-independent): one flat buffer per client
+        #: in the global state's dtype, keys laid out in sorted order ...
+        self._codec_banks: dict[int, np.ndarray] = {}
+        #: ... read and written through per-key full-model-shape views of it
         self._codec_residuals: dict[int, dict[str, np.ndarray]] = {}
         #: true wire-byte accounting of the round in flight (reset by
         #: :meth:`finalize_round`); encoded sizes, never nominal ones
@@ -484,14 +487,33 @@ class FederatedAlgorithm(ABC):
             return
         bank = self._codec_residuals.get(encoded.client_id)
         if bank is None:
-            bank = self._codec_residuals[encoded.client_id] = {
-                name: np.zeros_like(np.asarray(value))
-                for name, value in self.global_state.items()
-            }
+            size, dtype = self._codec_bank_layout()
+            bank = self._attach_codec_bank(encoded.client_id, np.zeros(size, dtype=dtype))
         for name, carry in encoded.residual.items():
             target = bank[name]
             region = tuple(slice(0, size) for size in carry.shape)
             target[region] = carry.astype(target.dtype, copy=False)
+
+    def _codec_bank_layout(self) -> tuple[int, np.dtype]:
+        """Element count and dtype of one client's flat residual bank."""
+        size = sum(int(value.size) for value in self.global_state.values())
+        return size, np.result_type(*(value.dtype for value in self.global_state.values()))
+
+    def _attach_codec_bank(self, client_id: int, buffer: np.ndarray) -> dict[str, np.ndarray]:
+        """Make ``buffer`` the client's bank; returns its per-key views.
+
+        The views share the buffer's memory, so writes through them are
+        what the next :meth:`checkpoint_state` copies out.
+        """
+        views: dict[str, np.ndarray] = {}
+        offset = 0
+        for key in sorted(self.global_state):
+            reference = self.global_state[key]
+            views[key] = buffer[offset : offset + reference.size].reshape(reference.shape)
+            offset += reference.size
+        self._codec_banks[client_id] = buffer
+        self._codec_residuals[client_id] = views
+        return views
 
     def aggregate(self, updates: "Iterable[ClientUpdate]") -> dict[str, np.ndarray]:
         """Heterogeneous aggregation into reused accumulation buffers.
@@ -800,11 +822,10 @@ class FederatedAlgorithm(ABC):
             # survives bit-exact
             extra_state["codec"] = {
                 "name": self._codec.name,
-                "clients": sorted(self._codec_residuals),
+                "clients": sorted(self._codec_banks),
             }
-            for client_id in sorted(self._codec_residuals):
-                for key, value in self._codec_residuals[client_id].items():
-                    extra_arrays[f"codec/{client_id}/{key}"] = value.copy()
+            for client_id in sorted(self._codec_banks):
+                extra_arrays[f"codec/{client_id}"] = self._codec_banks[client_id].copy()
         return Checkpoint(
             algorithm=self.name,
             round_index=self.history.records[-1].round_index if self.history.records else 0,
@@ -824,7 +845,9 @@ class FederatedAlgorithm(ABC):
         checkpoint is validated against the fresh global state before
         anything is mutated.  A subsequent :meth:`run` continues from the
         round after the checkpoint — ``run(num_rounds=total - completed)``
-        reproduces the uninterrupted run bit-for-bit.
+        reproduces the uninterrupted run bit-for-bit.  Error-feedback banks
+        are adopted, not copied: the run keeps writing into the
+        checkpoint's ``codec/{client}`` arrays.
         """
         checkpoint.validate_for(self.name, self.global_state)
         if self.history.records:
@@ -862,18 +885,30 @@ class FederatedAlgorithm(ABC):
                     f"checkpoint was written with transport codec {codec_meta.get('name')!r}, "
                     f"this run uses {self._codec.name!r}"
                 )
-            self._codec_residuals = {}
+            stored = {key: extra_arrays.pop(key) for key in list(extra_arrays) if key.startswith("codec/")}
+            size, dtype = self._codec_bank_layout()
+            banks: dict[int, np.ndarray] = {}
             for client_id in codec_meta.get("clients", []):
-                prefix = f"codec/{client_id}/"
-                bank = {
-                    key[len(prefix) :]: np.array(value)
-                    for key, value in list(extra_arrays.items())
-                    if key.startswith(prefix)
-                }
-                for key in list(extra_arrays):
-                    if key.startswith(prefix):
-                        extra_arrays.pop(key)
-                self._codec_residuals[int(client_id)] = bank
+                buffer = stored.pop(f"codec/{client_id}", None)
+                if buffer is None:
+                    raise ValueError(
+                        f"checkpoint lists codec client {client_id} but carries no "
+                        f"'codec/{client_id}' residual bank"
+                    )
+                if buffer.shape != (size,) or buffer.dtype != dtype:
+                    raise ValueError(
+                        f"residual bank of codec client {client_id} is {buffer.dtype}{buffer.shape}, "
+                        f"this model needs {dtype}({size},)"
+                    )
+                banks[int(client_id)] = buffer
+            if stored:
+                raise ValueError(
+                    "checkpoint carries residual banks for clients its codec state does not "
+                    f"list: {sorted(stored)[:3]}"
+                )
+            self._codec_banks, self._codec_residuals = {}, {}
+            for client_id, buffer in banks.items():
+                self._attach_codec_bank(client_id, buffer)
         elif codec_meta is not None:
             raise ValueError(
                 f"checkpoint carries transport-codec state ({codec_meta.get('name')!r}) "

@@ -12,7 +12,8 @@ A :class:`Checkpoint` captures the full mutable state of a
 * algorithm-specific arrays and JSON state via the
   ``_collect_extra_state`` / ``_apply_extra_state`` subclass hooks — the
   RL curiosity/resource tables for AdaptiveFL, the battery/availability
-  state of an attached :class:`~repro.sim.fleet.FleetSimulator`.
+  state of an attached :class:`~repro.sim.fleet.FleetSimulator`, and a
+  lossy codec's per-client error-feedback banks (one flat array each).
 
 Everything numeric lives in numpy arrays serialised losslessly by the
 content-addressed :class:`~repro.store.objects.ObjectStore`; everything
@@ -31,7 +32,8 @@ import numpy as np
 __all__ = ["Checkpoint", "CheckpointSchemaError", "CHECKPOINT_SCHEMA_VERSION"]
 
 #: current on-disk checkpoint layout; bump on incompatible changes
-CHECKPOINT_SCHEMA_VERSION = 1
+#: (2: each client's error-feedback bank is one flat ``codec/{client}`` array)
+CHECKPOINT_SCHEMA_VERSION = 2
 
 
 class CheckpointSchemaError(RuntimeError):

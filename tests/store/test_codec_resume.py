@@ -6,14 +6,16 @@ silently diverges from the uninterrupted run.  This suite pins the
 contract added with the codec tier:
 
 * codec metadata and per-client residual banks travel inside
-  :class:`Checkpoint` extras (``extra_state["codec"]`` +
-  ``extra_arrays["codec/{client}/{key}"]``),
-* a lossy run resumed from any checkpoint round is **bit-identical** to
-  the uninterrupted same-seed run (same standard as the exact-transport
-  resume-parity suite),
+  :class:`Checkpoint` extras (``extra_state["codec"]`` + one flat
+  ``extra_arrays["codec/{client}"]`` per banked client, keys laid out in
+  sorted order),
+* a lossy run resumed from any checkpoint round — or resumed twice — is
+  **bit-identical** to the uninterrupted same-seed run (same standard as
+  the exact-transport resume-parity suite),
 * restore refuses codec mismatches loudly: a codec run cannot resume an
   exact checkpoint, an exact run cannot resume a codec checkpoint, and
-  two different codecs cannot resume each other.
+  two different codecs cannot resume each other; a missing, misshapen or
+  unlisted residual bank names its client.
 """
 
 from __future__ import annotations
@@ -50,6 +52,14 @@ def fingerprint(history) -> list[dict]:
     return [record.to_dict() for record in history.records]
 
 
+def parameter_count(state) -> int:
+    return sum(value.size for value in state.values())
+
+
+def codec_keys(checkpoint) -> list[str]:
+    return [key for key in checkpoint.extra_arrays if key.startswith("codec/")]
+
+
 def assert_same_weights(actual, expected):
     assert set(actual) == set(expected)
     for key, value in actual.items():
@@ -83,17 +93,23 @@ class TestResidualsTravel:
         assert meta["name"] == "topk"
         # error feedback banked residuals for every client that uploaded
         assert meta["clients"], "topk run finished with no banked residuals"
+        size = parameter_count(checkpoint.global_state)
         for client_id in meta["clients"]:
-            keys = [
-                key for key in checkpoint.extra_arrays if key.startswith(f"codec/{client_id}/")
-            ]
-            assert keys, f"client {client_id} listed but has no residual arrays"
-            assert all(checkpoint.extra_arrays[key].dtype == np.float32 for key in keys)
+            bank = checkpoint.extra_arrays.get(f"codec/{client_id}")
+            assert bank is not None, f"client {client_id} listed but has no residual bank"
+            assert bank.dtype == np.float32
+            assert bank.shape == (size,)
             # small tensors may be fully kept (zero residual); across the
             # whole bank the dropped coordinates must show up somewhere
-            assert any(
-                np.any(checkpoint.extra_arrays[key] != 0.0) for key in keys
-            ), f"client {client_id} residual bank is all zeros"
+            assert np.any(bank != 0.0), f"client {client_id} residual bank is all zeros"
+
+    @pytest.mark.parametrize("round_index", range(ROUNDS))
+    def test_topk_checkpoint_holds_one_codec_array_per_listed_client(self, codec_reference, round_index):
+        store, run_id, _, _ = codec_reference["topk"]
+        checkpoint = store.load_checkpoint(run_id, round_index=round_index)
+        clients = checkpoint.extra_state["codec"]["clients"]
+        assert len(codec_keys(checkpoint)) == len(clients)
+        assert set(codec_keys(checkpoint)) == {f"codec/{client_id}" for client_id in clients}
 
     def test_int8_checkpoint_carries_codec_name_but_no_residuals(self, codec_reference):
         """int8 keeps no error feedback; its codec state is just the name."""
@@ -101,13 +117,13 @@ class TestResidualsTravel:
         checkpoint = store.load_checkpoint(run_id, round_index=ROUNDS - 1)
         assert checkpoint.extra_state["codec"]["name"] == "int8"
         assert checkpoint.extra_state["codec"]["clients"] == []
-        assert not [key for key in checkpoint.extra_arrays if key.startswith("codec/")]
+        assert not codec_keys(checkpoint)
 
     def test_exact_checkpoint_carries_no_codec_state(self, codec_reference):
         store, run_id, _, _ = codec_reference["none"]
         checkpoint = store.load_checkpoint(run_id, round_index=ROUNDS - 1)
         assert "codec" not in checkpoint.extra_state
-        assert not [key for key in checkpoint.extra_arrays if key.startswith("codec/")]
+        assert not codec_keys(checkpoint)
 
 
 @pytest.mark.parametrize("codec", ["topk", "int8"])
@@ -127,16 +143,53 @@ def test_lossy_resume_bit_identical(easy_setup, codec_reference, codec, round_in
 
 
 def test_restored_residuals_match_the_checkpointed_bank(easy_setup, codec_reference):
-    """The residual arrays land back in the per-client bank bit-for-bit."""
+    """Every restored per-key view is byte-equal to its slice of the flat bank."""
     store, run_id, _, _ = codec_reference["topk"]
     checkpoint = store.load_checkpoint(run_id, round_index=1)
+    # restore adopts the checkpoint's arrays; compare against an independent load
+    reference = store.load_checkpoint(run_id, round_index=1)
     resumed = build_algorithm(easy_setup, "topk")
     resumed.restore_checkpoint(checkpoint)
-    meta = checkpoint.extra_state["codec"]
+    meta = reference.extra_state["codec"]
+    assert sorted(resumed._codec_residuals) == meta["clients"]
     for client_id in meta["clients"]:
         bank = resumed._codec_residuals[client_id]
-        for key, value in bank.items():
-            assert np.array_equal(value, checkpoint.extra_arrays[f"codec/{client_id}/{key}"])
+        flat = reference.extra_arrays[f"codec/{client_id}"]
+        assert set(bank) == set(resumed.global_state)
+        offset = 0
+        for key in sorted(resumed.global_state):
+            value = bank[key]
+            assert value.shape == resumed.global_state[key].shape
+            assert value.dtype == flat.dtype
+            assert value.tobytes() == flat[offset : offset + value.size].tobytes(), (
+                f"client {client_id} view {key!r} differs from its slice of the bank"
+            )
+            offset += value.size
+        assert offset == flat.size
+
+
+def test_double_resume_bit_identical(easy_setup, codec_reference, tmp_path):
+    """Checkpoint → restore → train → checkpoint → restore → finish matches the
+    uninterrupted run: writes into a restored bank must reach the next checkpoint."""
+    store, run_id, expected_history, expected_state = codec_reference["topk"]
+    first = build_algorithm(easy_setup, "topk")
+    first.restore_checkpoint(store.load_checkpoint(run_id, round_index=0))
+    second_store = RunStore(tmp_path / "store")
+    entry = second_store.begin_run({"suite": "codec-double-resume"})
+    first.run(num_rounds=1, callbacks=[RunRecorder(second_store, entry.run_id)])
+    checkpoint = second_store.load_checkpoint(entry.run_id)
+    assert checkpoint.round_index == 1
+    for client_id, bank in first._codec_residuals.items():
+        flat = checkpoint.extra_arrays[f"codec/{client_id}"]
+        live = np.concatenate([bank[key].ravel() for key in sorted(bank)])
+        assert live.tobytes() == flat.tobytes(), f"client {client_id} bank did not reach the checkpoint"
+
+    second = build_algorithm(easy_setup, "topk")
+    second.restore_checkpoint(checkpoint)
+    second.run(num_rounds=ROUNDS - 2)
+
+    assert fingerprint(second.history) == expected_history
+    assert_same_weights(second.global_state, expected_state)
 
 
 class TestRestoreValidation:
@@ -159,4 +212,37 @@ class TestRestoreValidation:
         checkpoint = store.load_checkpoint(run_id)
         target = build_algorithm(easy_setup, "int8")
         with pytest.raises(ValueError, match="written with transport codec 'topk'"):
+            target.restore_checkpoint(checkpoint)
+
+    @staticmethod
+    def topk_checkpoint(codec_reference):
+        store, run_id, _, _ = codec_reference["topk"]
+        checkpoint = store.load_checkpoint(run_id)
+        return checkpoint, checkpoint.extra_state["codec"]["clients"][0]
+
+    def test_listed_client_without_bank_refused(self, easy_setup, codec_reference):
+        checkpoint, client_id = self.topk_checkpoint(codec_reference)
+        del checkpoint.extra_arrays[f"codec/{client_id}"]
+        target = build_algorithm(easy_setup, "topk")
+        with pytest.raises(ValueError, match=f"codec client {client_id} but carries no 'codec/{client_id}'"):
+            target.restore_checkpoint(checkpoint)
+
+    @pytest.mark.parametrize(
+        "damage",
+        [lambda bank: bank[:-1], lambda bank: bank.astype(np.float64), lambda bank: bank.reshape(1, -1)],
+        ids=["size", "dtype", "shape"],
+    )
+    def test_misshapen_bank_refused(self, easy_setup, codec_reference, damage):
+        checkpoint, client_id = self.topk_checkpoint(codec_reference)
+        key = f"codec/{client_id}"
+        checkpoint.extra_arrays[key] = damage(checkpoint.extra_arrays[key])
+        target = build_algorithm(easy_setup, "topk")
+        with pytest.raises(ValueError, match=f"residual bank of codec client {client_id} is"):
+            target.restore_checkpoint(checkpoint)
+
+    def test_bank_of_unlisted_client_refused(self, easy_setup, codec_reference):
+        checkpoint, client_id = self.topk_checkpoint(codec_reference)
+        checkpoint.extra_arrays["codec/9999"] = checkpoint.extra_arrays[f"codec/{client_id}"].copy()
+        target = build_algorithm(easy_setup, "topk")
+        with pytest.raises(ValueError, match="does not list: \\['codec/9999'\\]"):
             target.restore_checkpoint(checkpoint)

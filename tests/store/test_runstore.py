@@ -164,6 +164,19 @@ class TestCheckpoints:
         with pytest.raises(CheckpointSchemaError, match="refuses to resume"):
             store.load_checkpoint(entry.run_id)
 
+    def test_per_tensor_v1_checkpoint_refuses_resume(self, tmp_path):
+        """v1 stored each residual tensor as its own array; this build refuses it."""
+        store = RunStore(tmp_path)
+        entry = store.begin_run(KEY)
+        path = store.save_checkpoint(entry.run_id, make_checkpoint())
+        body = json.loads(path.read_text())
+        body["schema_version"] = 1
+        path.write_text(json.dumps(body))
+        with pytest.raises(CheckpointSchemaError, match="schema version 1; this build supports 2"):
+            store.load_checkpoint(entry.run_id)
+        with pytest.raises(CheckpointSchemaError, match="schema version 1 is not supported"):
+            Checkpoint(**{**vars(make_checkpoint()), "schema_version": 1})
+
     def test_truncated_blob_surfaces_on_checkpoint_load(self, tmp_path):
         store = RunStore(tmp_path)
         entry = store.begin_run(KEY)
