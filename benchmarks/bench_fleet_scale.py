@@ -2,18 +2,21 @@
 
 Writes ``BENCH_fleet_scale.json`` with three sections:
 
-* ``sizes`` — per fleet size, the vectorized engine's (batched draws)
-  round throughput in devices/sec and subprocess peak RSS, plus the
-  legacy per-device path (per-client generators + event-loop rounds) at
-  the sizes where it is still tractable, and the resulting speedup,
+* ``sizes`` — per fleet size, the fleet engine's (``"vectorized"``,
+  batched draws) round throughput in devices/sec and subprocess peak
+  RSS, plus the ``"legacy"`` per-device path at the sizes where it is
+  still tractable, and the resulting speedup.  The per-device path is
+  the per-object oracle of ``tests/sim/fleet_oracle.py`` (the retired
+  engine: per-client generators + event-loop rounds) driving a
+  ``draw_mode="per-client"`` fleet,
 * ``parity`` — the small-N bit-parity suite: AdaptiveFL and HeteroFL
-  histories **and** final weights compared between ``fleet_engine=
-  "legacy"`` and ``"vectorized"`` across the serial, thread and process
-  executors (every entry must be ``true``),
+  histories **and** final weights compared between a run whose fleet is
+  driven by the oracle and a plain run, across the serial, thread and
+  process executors (every entry must be ``true``),
 * ``acceptance`` — the PR's gates: ≥50× devices/sec over the per-device
   path at 10⁴, completed 10⁶-device rounds, and full parity.
 
-Each (size, engine) throughput measurement runs in its own subprocess so
+Each (size, path) throughput measurement runs in its own subprocess so
 ``ru_maxrss`` reports that configuration's peak RSS in isolation.
 
 Run as a script::
@@ -34,8 +37,10 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src"
-if str(SRC) not in sys.path:
-    sys.path.insert(0, str(SRC))
+ORACLE = REPO_ROOT / "tests" / "sim"
+for path in (SRC, ORACLE):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
 
 import numpy as np  # noqa: E402
 
@@ -76,13 +81,17 @@ def scale_spec():
 
 # -- throughput worker (one subprocess per measurement) ----------------------------------
 def measure_throughput(size: int, engine: str, rounds: int) -> dict:
-    """One engine's full round pipeline: availability over the whole fleet,
+    """One path's full round pipeline: availability over the whole fleet,
     dispatch simulation for a fixed cohort, population stats."""
+    from fleet_oracle import oracle_fleet
+
     from repro.sim.fleet import ClientDispatch, DispatchBatch, FleetSimulator
 
     draw_mode = "batched" if engine == "vectorized" else "per-client"
     build_start = time.perf_counter()
-    fleet = FleetSimulator(scale_spec(), num_clients=size, seed=7, engine=engine, draw_mode=draw_mode)
+    fleet = FleetSimulator(scale_spec(), num_clients=size, seed=7, draw_mode=draw_mode)
+    if engine == "legacy":
+        oracle_fleet(fleet)
     build_seconds = time.perf_counter() - build_start
 
     def one_round(round_index: int) -> None:
@@ -128,7 +137,7 @@ def run_worker_subprocess(size: int, engine: str, rounds: int) -> dict:
 # -- small-N bit-parity suite ------------------------------------------------------------
 def parity_federation(executor: str):
     """A tiny 17-client federation on ``flaky_edge`` (markov + dropouts +
-    jitter + deadline), the stochastic scenario the engines must agree on."""
+    jitter + deadline), the stochastic scenario engine and oracle must agree on."""
     from repro.core.config import FederatedConfig, LocalTrainingConfig, ModelPoolConfig
     from repro.data.datasets import SyntheticTaskConfig, synthesize_classification_task
     from repro.data.partition import iid_partition
@@ -161,6 +170,8 @@ def parity_federation(executor: str):
 
 
 def run_parity_case(algorithm: str, executor: str, engine: str):
+    from fleet_oracle import oracle_fleet
+
     from repro.baselines import HeteroFL
     from repro.core.config import AdaptiveFLConfig
     from repro.core.server import AdaptiveFL
@@ -174,8 +185,10 @@ def run_parity_case(algorithm: str, executor: str, engine: str):
         )
     instance = cls(
         **setup["kwargs"], pool_config=setup["pool"], federated_config=setup["federated"],
-        local_config=setup["local"], scenario="flaky_edge", fleet_engine=engine, **extra,
+        local_config=setup["local"], scenario="flaky_edge", **extra,
     )
+    if engine == "legacy":
+        oracle_fleet(instance.fleet)
     history = instance.run()
     return history.to_dict(), instance.global_state
 
@@ -264,7 +277,7 @@ def main(argv=None) -> int:
             f"speedup at 10^4 is {acceptance['speedup_at_10k']}x, below the {SPEEDUP_GATE}x gate"
         )
     if acceptance["parity_bit_identical"] is False:
-        failures.append("small-N parity suite found a legacy/vectorized mismatch")
+        failures.append("small-N parity suite found an oracle/engine mismatch")
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)
     return 1 if failures else 0

@@ -122,7 +122,6 @@ class FederatedAlgorithm(ABC):
         testbed: TestbedSimulator | None = None,
         scenario: "ScenarioSpec | str | None" = None,
         seed: int = 0,
-        fleet_engine: str = "auto",
     ):
         if partition.num_clients != len(profiles):
             raise ValueError("partition and device profiles must cover the same number of clients")
@@ -160,7 +159,7 @@ class FederatedAlgorithm(ABC):
             )
         self.scenario: "ScenarioSpec | None" = scenario
         self.fleet: "FleetSimulator | None" = (
-            FleetSimulator(scenario, num_clients=partition.num_clients, seed=seed, engine=fleet_engine)
+            FleetSimulator(scenario, num_clients=partition.num_clients, seed=seed)
             if scenario is not None
             else None
         )

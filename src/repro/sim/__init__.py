@@ -50,12 +50,12 @@ _EXPORTS: dict[str, str] = {
     "available_scenarios": "repro.sim.scenario",
     "validate_scenario_choice": "repro.sim.scenario",
     "ensure_builtin_scenarios": "repro.sim.scenario",
-    # fleet runtime
+    # fleet runtime: columnar rounds (DispatchBatch -> RoundOutcomeBatch)
+    # and their per-client row views
     "ClientDispatch": "repro.sim.fleet",
     "ClientOutcome": "repro.sim.fleet",
     "RoundOutcome": "repro.sim.fleet",
     "FleetSimulator": "repro.sim.fleet",
-    # vectorized fleet engine (array-first round API)
     "DispatchBatch": "repro.sim.fleet",
     "RoundOutcomeBatch": "repro.sim.fleet",
     "BATCHED_DRAW_THRESHOLD": "repro.sim.fleet",

@@ -22,22 +22,17 @@ One fleet instance backs one algorithm run.  It owns
   the synchronous-round deadline (absolute seconds or a factor of the
   round's median finish time) and therefore join aggregation.
 
-Two orthogonal knobs govern scale-out:
-
-* ``engine`` — ``"legacy"`` walks per-dispatch Python objects and
-  closures (the historical code path, kept as the benchmark baseline and
-  parity reference); ``"vectorized"`` (the ``"auto"`` default) computes
-  whole rounds as NumPy array arithmetic.  Both engines consume the same
-  pre-drawn randomness and use identical float64 operation order, so for
-  a fixed ``draw_mode`` their outcomes are **bit-identical**.
-* ``draw_mode`` — ``"per-client"`` keys every stochastic quantity on
-  ``(seed, tag, round, client)`` exactly as the historical code did (one
-  ``Generator`` per key); ``"batched"`` draws one full-population vector
-  per ``(seed, tag, round)`` key, which is what makes 10⁶-device rounds
-  feasible.  The two modes draw different (equally deterministic)
-  numbers; ``"auto"`` picks per-client below
-  :data:`BATCHED_DRAW_THRESHOLD` clients so small fleets reproduce the
-  historical traces bit-for-bit, batched at scale.
+Rounds are computed as NumPy array arithmetic over the dispatched
+columns (:meth:`FleetSimulator.simulate_round_batch`);
+:meth:`FleetSimulator.simulate_round` is its row view.  One knob governs
+scale-out: ``draw_mode``.  ``"per-client"`` keys every stochastic
+quantity on ``(seed, tag, round, client)`` exactly as the historical
+code did (one ``Generator`` per key); ``"batched"`` draws one
+full-population vector per ``(seed, tag, round)`` key, which is what
+makes 10⁶-device rounds feasible.  The two modes draw different (equally
+deterministic) numbers; ``"auto"`` picks per-client below
+:data:`BATCHED_DRAW_THRESHOLD` clients so small fleets reproduce the
+historical traces bit-for-bit, batched at scale.
 
 Determinism: every stochastic quantity is drawn up-front from a
 :class:`numpy.random.SeedSequence` keyed on ``(seed, tag, round,
@@ -49,15 +44,15 @@ process boundaries.
 
 Static scenarios (no jitter, no churn, no contention, no deadline —
 ``ScenarioSpec.is_static``) bypass the event decomposition and use the
-exact closed-form arithmetic of
-:meth:`repro.devices.testbed.TestbedSimulator.client_round_time`, which is
-what makes the ``paper_testbed`` scenario reproduce the legacy test-bed
-wall-clock numbers bit-for-bit.
+closed-form clock :func:`repro.devices.testbed.split_round_seconds`, the
+one the legacy test-bed computes through, which is what makes the
+``paper_testbed`` scenario reproduce its wall-clock numbers bit-for-bit.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Iterator, Mapping
@@ -281,30 +276,6 @@ class RoundOutcomeBatch:
             round_seconds=self.round_seconds,
         )
 
-    @classmethod
-    def from_outcome(cls, outcome: RoundOutcome) -> "RoundOutcomeBatch":
-        """Column-ise a row-shaped outcome (legacy-engine batch calls)."""
-        nan = float("nan")
-        return cls(
-            round_index=outcome.round_index,
-            client_ids=np.array([c.client_id for c in outcome.clients], dtype=np.int64),
-            bytes_down=np.array([c.bytes_down for c in outcome.clients], dtype=np.int64),
-            bytes_up=np.array([c.bytes_up for c in outcome.clients], dtype=np.int64),
-            finish_seconds=np.array(
-                [nan if c.finish_seconds is None else c.finish_seconds for c in outcome.clients],
-                dtype=np.float64,
-            ),
-            dropped=np.array([c.dropped for c in outcome.clients], dtype=bool),
-            aggregated=np.array([c.aggregated for c in outcome.clients], dtype=bool),
-            compute_seconds=np.array([c.compute_seconds for c in outcome.clients], dtype=np.float64),
-            failure_seconds=np.array(
-                [nan if c.failure_seconds is None else c.failure_seconds for c in outcome.clients],
-                dtype=np.float64,
-            ),
-            deadline_seconds=outcome.deadline_seconds,
-            round_seconds=outcome.round_seconds,
-        )
-
 
 class _DeviceFleet(Sequence):
     """Lazy ``Sequence[DeviceTemplate]`` over (template, count) runs.
@@ -342,12 +313,13 @@ class _DeviceFleet(Sequence):
 
 @dataclass
 class _RoundDraws:
-    """Pre-drawn per-dispatch randomness, shared by both engines.
+    """Pre-drawn per-dispatch randomness for one round.
 
-    Both engines index these exact arrays — never re-drawing, never
-    re-applying ``exp`` — which is what makes the engines bit-identical
-    for a fixed draw mode.  ``drop_fraction`` is NaN-coded: NaN means the
-    client does not fail mid-round.
+    The closed-form arithmetic and the event decomposition both index
+    these exact arrays — never re-drawing, never re-applying ``exp`` — so
+    the event interleaving can never change what was drawn.
+    ``drop_fraction`` is NaN-coded: NaN means the client does not fail
+    mid-round.
     """
 
     factor: np.ndarray
@@ -364,13 +336,10 @@ class FleetSimulator:
         spec: ScenarioSpec,
         num_clients: int,
         seed: int = 0,
-        engine: str = "auto",
         draw_mode: str = "auto",
     ):
         if num_clients <= 0:
             raise ValueError("num_clients must be positive")
-        if engine not in {"auto", "vectorized", "legacy"}:
-            raise ValueError("engine must be 'auto', 'vectorized' or 'legacy'")
         if draw_mode not in {"auto", "batched", "per-client"}:
             raise ValueError("draw_mode must be 'auto', 'batched' or 'per-client'")
         self.spec = spec
@@ -378,7 +347,6 @@ class FleetSimulator:
         counts = _expand_device_counts(spec.devices, num_clients)
         self.devices = _DeviceFleet(spec.devices, counts)
         self.num_clients = len(self.devices)
-        self.engine = "vectorized" if engine == "auto" else engine
         if draw_mode == "auto":
             draw_mode = "batched" if self.num_clients >= BATCHED_DRAW_THRESHOLD else "per-client"
         self.draw_mode = draw_mode
@@ -483,8 +451,7 @@ class FleetSimulator:
     def _dispatch_draws(self, round_index: int, client_ids: Sequence[int]) -> _RoundDraws:
         """All per-dispatch randomness for one round, drawn up-front.
 
-        The event interleaving can never change what was drawn; both
-        engines consume these arrays verbatim.
+        The event interleaving can never change what was drawn.
         """
         n = len(client_ids)
         if self.draw_mode == "batched":
@@ -641,37 +608,19 @@ class FleetSimulator:
         }
 
     # -- checkpointing ----------------------------------------------------------------
-    @property
-    def _recovering(self) -> set[int]:
-        """The battery-recovering clients as a set (small-N façade).
-
-        Internally the fleet keeps a boolean mask; the set view exists for
-        checkpoints and tests.  Mutate via the setter (assignment), not by
-        ``.add``/``.discard`` on the returned copy.
-        """
-        return {int(client) for client in np.flatnonzero(self._recovering_mask)}
-
-    @_recovering.setter
-    def _recovering(self, value) -> None:
-        mask = np.zeros(self.num_clients, dtype=bool)
-        ids = np.asarray(sorted(int(client) for client in value), dtype=np.int64)
-        if ids.size:
-            mask[ids] = True
-        self._recovering_mask = mask
-
     def state_dict(self) -> dict:
         """The fleet's mutable cross-round state, for the experiment store.
 
         Only three things evolve as rounds advance: the battery charge
-        vector, the set of battery-recovering clients and the
-        last-simulated-round watermark.  Everything else (availability
+        vector, the battery-recovering clients (saved as sorted ids) and
+        the last-simulated-round watermark.  Everything else (availability
         traces, diurnal phases, jitter draws) is a pure function of
         ``(seed, round, client)`` and is recomputed identically after a
         restore, which is what makes resumed runs bit-identical.
         """
         return {
             "last_simulated_round": self._last_simulated_round,
-            "recovering": sorted(self._recovering),
+            "recovering": np.flatnonzero(self._recovering_mask).tolist(),
             "charge": None if self._charge is None else self._charge.copy(),
         }
 
@@ -692,9 +641,22 @@ class FleetSimulator:
                 raise ValueError(
                     f"fleet charge vector has shape {charge.shape}, expected {self._charge.shape}"
                 )
+        recovering = list(state["recovering"])
+        for client in recovering:
+            if (
+                isinstance(client, bool)
+                or not isinstance(client, numbers.Integral)
+                or not 0 <= client < self.num_clients
+            ):
+                raise ValueError(
+                    f"fleet state names recovering client {client!r}; expected an integer "
+                    f"id in [0, {self.num_clients})"
+                )
+        if charge is not None:
             self._charge = charge.copy()
         self._last_simulated_round = int(state["last_simulated_round"])
-        self._recovering = {int(client) for client in state["recovering"]}
+        self._recovering_mask = np.zeros(self.num_clients, dtype=bool)
+        self._recovering_mask[np.asarray(recovering, dtype=np.int64)] = True
 
     # -- battery ----------------------------------------------------------------------
     def battery_charge(self, client_id: int) -> float | None:
@@ -713,93 +675,59 @@ class FleetSimulator:
         self._last_simulated_round = round_index
 
     def simulate_round(self, round_index: int, dispatches: list[ClientDispatch]) -> RoundOutcome:
+        """Row view of :meth:`simulate_round_batch` (small-N callers)."""
+        return self.simulate_round_batch(round_index, DispatchBatch.from_dispatches(dispatches)).to_outcome()
+
+    def simulate_round_batch(self, round_index: int, batch: DispatchBatch) -> RoundOutcomeBatch:
         """Simulate one synchronous round; mutates battery/availability state.
 
         Must be called once per round, in increasing round order (the
-        federated loop does exactly that).
+        federated loop does exactly that).  The outcome stays columnar so
+        million-device callers never pay for per-client Python objects.
         """
         self._check_monotonic(round_index)
         if self.spec.is_static:
-            return self._simulate_static(round_index, dispatches)
-        draws = self._dispatch_draws(round_index, [d.client_id for d in dispatches])
-        if self.engine == "legacy":
-            outcome = self._simulate_events(round_index, dispatches, draws)
-            self._apply_battery_deaths(outcome, dispatches)
-            self._apply_deadline(outcome)
-            self._apply_byte_budget(outcome)
-            self._advance_batteries(outcome, dispatches)
-            return outcome
-        batch = DispatchBatch.from_dispatches(dispatches)
-        return self._simulate_batch(round_index, batch, draws).to_outcome()
+            return self._simulate_static(round_index, batch)
+        return self._simulate_batch(round_index, batch)
 
-    def simulate_round_batch(self, round_index: int, batch: DispatchBatch) -> RoundOutcomeBatch:
-        """Array-native :meth:`simulate_round` (the million-device entry point).
-
-        Same semantics, same determinism, same monotonic-round contract;
-        the outcome stays columnar so the caller never pays for
-        per-client Python objects.
-        """
-        self._check_monotonic(round_index)
-        if self.spec.is_static:
-            return RoundOutcomeBatch.from_outcome(
-                self._simulate_static(round_index, batch.to_dispatches())
-            )
-        draws = self._dispatch_draws(round_index, batch.client_ids)
-        if self.engine == "legacy":
-            dispatches = batch.to_dispatches()
-            outcome = self._simulate_events(round_index, dispatches, draws)
-            self._apply_battery_deaths(outcome, dispatches)
-            self._apply_deadline(outcome)
-            self._apply_byte_budget(outcome)
-            self._advance_batteries(outcome, dispatches)
-            return RoundOutcomeBatch.from_outcome(outcome)
-        return self._simulate_batch(round_index, batch, draws)
-
-    def _closed_form_seconds(self, dispatch: ClientDispatch) -> tuple[float, float]:
-        """The legacy test-bed's (communication, training) clock, shared code."""
-        device = self.devices[dispatch.client_id]
-        return split_round_seconds(
-            device.bandwidth_mbps,
-            device.flops_per_second,
-            dispatch.params_down,
-            dispatch.params_up,
-            dispatch.flops_per_sample,
-            dispatch.num_samples,
-            dispatch.local_epochs,
+    def _simulate_static(self, round_index: int, batch: DispatchBatch) -> RoundOutcomeBatch:
+        """The legacy test-bed's closed-form clock, over the dispatch columns."""
+        ids = batch.client_ids
+        communication, training = split_round_seconds(
+            self._bandwidth[ids],
+            self._flops[ids],
+            batch.params_down,
+            batch.params_up,
+            batch.flops_per_sample,
+            batch.num_samples,
+            batch.local_epochs,
+        )
+        finish_seconds = communication + training
+        returned = np.ones(len(batch), dtype=bool)
+        return RoundOutcomeBatch(
+            round_index=round_index,
+            client_ids=ids,
+            bytes_down=batch.params_down * BYTES_PER_PARAM,
+            bytes_up=batch.params_up * BYTES_PER_PARAM,
+            finish_seconds=finish_seconds,
+            dropped=~returned,
+            aggregated=returned,
+            compute_seconds=training,
+            failure_seconds=np.full(len(batch), np.nan),
+            deadline_seconds=None,
+            round_seconds=float(finish_seconds.max()) if len(batch) else 0.0,
         )
 
-    def _simulate_static(self, round_index: int, dispatches: list[ClientDispatch]) -> RoundOutcome:
-        clients = []
-        for dispatch in dispatches:
-            communication, training = self._closed_form_seconds(dispatch)
-            clients.append(
-                ClientOutcome(
-                    client_id=dispatch.client_id,
-                    bytes_down=dispatch.params_down * BYTES_PER_PARAM,
-                    bytes_up=dispatch.params_up * BYTES_PER_PARAM,
-                    finish_seconds=communication + training,
-                    dropped=False,
-                    aggregated=True,
-                    compute_seconds=training,
-                )
-            )
-        finishes = [client.finish_seconds for client in clients]
-        round_seconds = float(max(finishes)) if finishes else 0.0
-        return RoundOutcome(
-            round_index=round_index, clients=clients, deadline_seconds=None, round_seconds=round_seconds
-        )
-
-    # -- vectorized engine ------------------------------------------------------------
-    def _simulate_batch(
-        self, round_index: int, batch: DispatchBatch, draws: _RoundDraws
-    ) -> RoundOutcomeBatch:
+    def _simulate_batch(self, round_index: int, batch: DispatchBatch) -> RoundOutcomeBatch:
         """One dynamic round as pure array arithmetic.
 
-        Every expression mirrors the legacy engine's float64 operation
-        order exactly (same associativity, same pre-drawn values), which
-        is what the bit-parity suite pins.
+        Every expression keeps the historical per-client float64
+        operation order (same associativity, same pre-drawn values); the
+        parity suite pins it bit for bit against the per-object oracle in
+        ``tests/sim/fleet_oracle.py``.
         """
         ids = batch.client_ids
+        draws = self._dispatch_draws(round_index, ids)
         latency = self._link_latency[ids]
         bandwidth = self._bandwidth[ids]
         flops = self._flops[ids]
@@ -916,10 +844,16 @@ class FleetSimulator:
             round_seconds=round_seconds,
         )
 
-    # -- legacy engine ----------------------------------------------------------------
+    # -- gated rounds -----------------------------------------------------------------
     def _simulate_events(
         self, round_index: int, dispatches: list[ClientDispatch], draws: _RoundDraws
     ) -> RoundOutcome:
+        """Replay the FIFO transfer-gate event interleaving of one round.
+
+        Fills finish/failure times, compute seconds and uplink bytes per
+        dispatch; battery deaths, the deadline and byte budget are the
+        caller's.
+        """
         queue = EventQueue()
         gate = TransferGate(self.spec.network.server_concurrency)
 
@@ -1012,47 +946,6 @@ class FleetSimulator:
 
         return RoundOutcome(round_index=round_index, clients=outcomes, deadline_seconds=None, round_seconds=0.0)
 
-    def _apply_battery_deaths(self, outcome: RoundOutcome, dispatches: list[ClientDispatch]) -> None:
-        """Clients whose charge cannot cover the round die mid-round."""
-        battery = self.spec.battery
-        if battery is None:
-            return
-        for client, dispatch in zip(outcome.clients, dispatches):
-            needed = battery.compute_watts * client.compute_seconds + battery.transfer_joules_per_mb * (
-                (client.bytes_down + client.bytes_up) / 1e6
-            )
-            if needed > self._charge[client.client_id]:
-                client.dropped = True
-                if client.failure_seconds is None:
-                    # went silent no later than it would have finished/failed
-                    client.failure_seconds = client.finish_seconds
-                client.finish_seconds = None
-                client.bytes_up = 0
-
-    def _apply_deadline(self, outcome: RoundOutcome) -> None:
-        """Set the deadline, aggregated flags and the round's duration."""
-        finishes = [c.finish_seconds for c in outcome.clients if c.finish_seconds is not None]
-        deadline = self.spec.deadline_seconds
-        if deadline is None and self.spec.deadline_factor is not None and finishes:
-            deadline = float(self.spec.deadline_factor * np.median(finishes))
-        outcome.deadline_seconds = deadline
-        any_missing = False
-        for client in outcome.clients:
-            client.aggregated = client.finish_seconds is not None and (
-                deadline is None or client.finish_seconds <= deadline
-            )
-            any_missing = any_missing or not client.aggregated
-        # without a deadline the server's horizon is the last arrival or the
-        # last failure it times out on — a round never takes zero time just
-        # because everyone failed
-        horizon = finishes + [
-            c.failure_seconds for c in outcome.clients if c.failure_seconds is not None
-        ]
-        if deadline is not None and (any_missing or not finishes):
-            outcome.round_seconds = float(deadline)  # the server waits out the deadline
-        else:
-            outcome.round_seconds = float(max(horizon)) if horizon else 0.0
-
     def _byte_budget_refusals(
         self,
         bytes_down: np.ndarray,
@@ -1067,8 +960,7 @@ class FleetSimulator:
         arrival order — dispatch position breaking ties — while budget
         remains.  A refused upload costs nothing and does not aggregate.
         The greedy rule means a small late-arriving upload may still be
-        admitted after a large one was refused; this is deterministic and
-        identical in both fleet engines.
+        admitted after a large one was refused; this is deterministic.
         """
         refused = np.zeros(finish_seconds.shape, dtype=bool)
         budget = self.spec.round_byte_budget
@@ -1087,46 +979,6 @@ class FleetSimulator:
             else:
                 refused[index] = True
         return refused
-
-    def _apply_byte_budget(self, outcome: RoundOutcome) -> None:
-        """Legacy-engine twin of :meth:`_byte_budget_refusals` (in place)."""
-        if self.spec.round_byte_budget is None:
-            return
-        nan = float("nan")
-        refused = self._byte_budget_refusals(
-            np.array([c.bytes_down for c in outcome.clients], dtype=np.float64),
-            np.array([c.bytes_up for c in outcome.clients], dtype=np.float64),
-            np.array(
-                [nan if c.finish_seconds is None else c.finish_seconds for c in outcome.clients],
-                dtype=np.float64,
-            ),
-        )
-        for client, refuse in zip(outcome.clients, refused):
-            if refuse:
-                client.aggregated = False
-                client.bytes_up = 0
-
-    def _advance_batteries(self, outcome: RoundOutcome, dispatches: list[ClientDispatch]) -> None:
-        battery = self.spec.battery
-        if battery is None:
-            return
-        participants = {client.client_id for client in outcome.clients}
-        for client in outcome.clients:
-            spent = battery.compute_watts * client.compute_seconds + battery.transfer_joules_per_mb * (
-                (client.bytes_down + client.bytes_up) / 1e6
-            )
-            charge = self._charge[client.client_id]
-            self._charge[client.client_id] = max(0.0, charge - min(spent, charge))
-        for client_id in range(self.num_clients):
-            if client_id not in participants:
-                self._charge[client_id] = min(
-                    battery.capacity_joules,
-                    self._charge[client_id] + battery.recharge_watts * outcome.round_seconds,
-                )
-        low = battery.min_charge_fraction * battery.capacity_joules
-        resume = battery.resume_charge_fraction * battery.capacity_joules
-        below = self._charge < low
-        self._recovering_mask = below | (self._recovering_mask & ~(self._charge >= resume))
 
 
 def _expand_device_counts(templates: tuple[DeviceTemplate, ...], num_clients: int) -> list[int]:

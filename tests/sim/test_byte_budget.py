@@ -9,13 +9,15 @@ remains.  The rules pinned here:
 * admission order is arrival order with dispatch position breaking ties,
 * the greedy rule can admit a small late upload after refusing a large
   earlier one — deterministically,
-* both fleet engines (legacy event-loop and vectorized) make identical
-  admission decisions,
+* the fleet engine and the per-object oracle (``fleet_oracle.py``) make
+  identical admission decisions, also on budgets that admit some uploads
+  and refuse others,
 * a budget makes the scenario dynamic (the static fast path would skip
   admission control entirely).
 """
 
 import pytest
+from fleet_oracle import oracle_fleet
 
 from repro.sim.fleet import BYTES_PER_PARAM, ClientDispatch, FleetSimulator
 from repro.sim.library import congested_metered, congested_network
@@ -33,7 +35,7 @@ def dispatch(client_id, params_down=1000, params_up=1000, flops=5000, samples=50
     )
 
 
-def budget_fleet(budget, num_clients=4, seed=0, engine="legacy", devices=None, **spec_kwargs):
+def budget_fleet(budget, num_clients=4, seed=0, oracle=False, devices=None, **spec_kwargs):
     if devices is None:
         devices = (
             DeviceTemplate(
@@ -41,7 +43,8 @@ def budget_fleet(budget, num_clients=4, seed=0, engine="legacy", devices=None, *
             ),
         )
     spec = ScenarioSpec(name="metered", devices=devices, round_byte_budget=budget, **spec_kwargs)
-    return FleetSimulator(spec, num_clients=num_clients, seed=seed, engine=engine)
+    fleet = FleetSimulator(spec, num_clients=num_clients, seed=seed)
+    return oracle_fleet(fleet) if oracle else fleet
 
 
 class TestSpecValidation:
@@ -147,20 +150,30 @@ class TestEngineParity:
         ),
     )
 
-    @pytest.mark.parametrize("budget", [1, 30_000, 10**9])
+    #: the 8 downlinks below cost 32,000 B; these budgets leave 10,000,
+    #: 18,000 and 28,000 B for uploads of 2,000-16,000 B, so each admits
+    #: some uploads and refuses others (42,000 leaves exactly the first
+    #: arrival's upload, pinning the ``<=`` in the admission test)
+    PARTIAL_BUDGETS = (42_000, 50_000, 60_000)
+
+    @pytest.mark.parametrize("budget", [1, 30_000, *PARTIAL_BUDGETS, 10**9])
     def test_legacy_and_vectorized_make_identical_decisions(self, budget):
+        """The per-object oracle (the retired legacy engine) and the fleet
+        engine admit and refuse exactly the same uploads."""
         dispatches = [dispatch(c, params_up=500 * (c + 1)) for c in range(8)]
-        outcomes = {}
-        for engine in ("legacy", "vectorized"):
-            fleet = budget_fleet(
-                budget, num_clients=8, seed=11, engine=engine, devices=self.JITTER_DEVICES
-            )
-            outcomes[engine] = fleet.simulate_round(0, dispatches)
-        legacy, vectorized = outcomes["legacy"], outcomes["vectorized"]
-        assert [c.aggregated for c in legacy.clients] == [c.aggregated for c in vectorized.clients]
-        assert [c.bytes_up for c in legacy.clients] == [c.bytes_up for c in vectorized.clients]
-        assert [c.bytes_down for c in legacy.clients] == [c.bytes_down for c in vectorized.clients]
-        assert legacy.round_seconds == vectorized.round_seconds
+        oracle, engine = (
+            budget_fleet(
+                budget, num_clients=8, seed=11, oracle=use_oracle, devices=self.JITTER_DEVICES
+            ).simulate_round(0, dispatches)
+            for use_oracle in (True, False)
+        )
+        assert [c.aggregated for c in oracle.clients] == [c.aggregated for c in engine.clients]
+        assert [c.bytes_up for c in oracle.clients] == [c.bytes_up for c in engine.clients]
+        assert [c.bytes_down for c in oracle.clients] == [c.bytes_down for c in engine.clients]
+        assert oracle.round_seconds == engine.round_seconds
+        if budget in self.PARTIAL_BUDGETS:
+            admitted = sum(c.aggregated for c in engine.clients)
+            assert 0 < admitted < len(dispatches)
 
     def test_budget_binds_under_congestion_and_codecs_relieve_it(self):
         """The congested_metered story: exact uplinks overflow the budget,

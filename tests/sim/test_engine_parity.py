@@ -1,15 +1,17 @@
-"""Vectorized fleet engine vs the legacy event engine: bit-parity.
+"""The array fleet engine vs the per-object oracle: bit-parity.
 
-The vectorized engine must be a drop-in replacement: for a fixed
-``draw_mode`` every :class:`RoundOutcome` field, every battery trajectory
-and every end-to-end training history is **bit-identical** between
-``engine="legacy"`` and ``engine="vectorized"`` — on static fleets,
-stochastic fleets (markov availability + jitter + dropouts + batteries +
-deadlines) and gated (``server_concurrency``) fleets alike.
+:class:`FleetSimulator` computes rounds as column arithmetic; the oracle
+in ``fleet_oracle.py`` recomputes them one Python object per client, as
+the historical engine did.  For a fixed ``draw_mode`` every
+:class:`RoundOutcome` field, every battery trajectory and every end-to-end
+training history is **bit-identical** between the two — on static
+fleets, stochastic fleets (markov availability + jitter + dropouts +
+batteries + deadlines) and gated (``server_concurrency``) fleets alike.
 """
 
 import numpy as np
 import pytest
+from fleet_oracle import oracle_fleet
 
 from repro.sim.fleet import ClientDispatch, DispatchBatch, FleetSimulator
 from repro.sim.scenario import (
@@ -18,6 +20,7 @@ from repro.sim.scenario import (
     DeviceTemplate,
     NetworkSpec,
     ScenarioSpec,
+    get_scenario,
 )
 
 DRAW_MODES = ["per-client", "batched"]
@@ -82,39 +85,43 @@ def run_rounds(fleet, num_rounds=6, k=8):
 class TestRoundOutcomeParity:
     @pytest.mark.parametrize("draw_mode", DRAW_MODES)
     def test_stochastic_rounds_bit_identical(self, draw_mode):
-        legacy = FleetSimulator(stochastic_spec(), num_clients=24, seed=7, engine="legacy", draw_mode=draw_mode)
-        vector = FleetSimulator(stochastic_spec(), num_clients=24, seed=7, engine="vectorized", draw_mode=draw_mode)
-        for left, right in zip(run_rounds(legacy), run_rounds(vector)):
+        oracle = oracle_fleet(FleetSimulator(stochastic_spec(), num_clients=24, seed=7, draw_mode=draw_mode))
+        engine = FleetSimulator(stochastic_spec(), num_clients=24, seed=7, draw_mode=draw_mode)
+        for left, right in zip(run_rounds(oracle), run_rounds(engine)):
             outcomes_equal(left, right)
         # battery trajectories advanced identically
-        assert np.array_equal(legacy.state_dict()["charge"], vector.state_dict()["charge"])
-        assert legacy.state_dict()["recovering"] == vector.state_dict()["recovering"]
+        assert np.array_equal(oracle.state_dict()["charge"], engine.state_dict()["charge"])
+        assert oracle.state_dict()["recovering"] == engine.state_dict()["recovering"]
 
     @pytest.mark.parametrize("draw_mode", DRAW_MODES)
     def test_gated_network_bit_identical(self, draw_mode):
         spec = stochastic_spec(network=NetworkSpec(server_concurrency=2), deadline_factor=None)
-        legacy = FleetSimulator(spec, num_clients=16, seed=3, engine="legacy", draw_mode=draw_mode)
-        vector = FleetSimulator(spec, num_clients=16, seed=3, engine="vectorized", draw_mode=draw_mode)
-        for left, right in zip(run_rounds(legacy), run_rounds(vector)):
+        oracle = oracle_fleet(FleetSimulator(spec, num_clients=16, seed=3, draw_mode=draw_mode))
+        engine = FleetSimulator(spec, num_clients=16, seed=3, draw_mode=draw_mode)
+        for left, right in zip(run_rounds(oracle), run_rounds(engine)):
             outcomes_equal(left, right)
 
     def test_fixed_deadline_and_empty_rounds(self):
         spec = stochastic_spec(deadline_factor=None, deadline_seconds=30.0)
-        legacy = FleetSimulator(spec, num_clients=12, seed=5, engine="legacy")
-        vector = FleetSimulator(spec, num_clients=12, seed=5, engine="vectorized")
+        oracle = oracle_fleet(FleetSimulator(spec, num_clients=12, seed=5))
+        engine = FleetSimulator(spec, num_clients=12, seed=5)
         for round_index in range(4):
-            clients = legacy.available_clients(round_index)[:5] if round_index % 2 else []
+            clients = oracle.available_clients(round_index)[:5] if round_index % 2 else []
             outcomes_equal(
-                legacy.simulate_round(round_index, dispatches_for(clients)),
-                vector.simulate_round(round_index, dispatches_for(clients)),
+                oracle.simulate_round(round_index, dispatches_for(clients)),
+                engine.simulate_round(round_index, dispatches_for(clients)),
             )
 
     def test_availability_masks_identical(self):
-        legacy = FleetSimulator(stochastic_spec(), num_clients=32, seed=11, engine="legacy")
-        vector = FleetSimulator(stochastic_spec(), num_clients=32, seed=11, engine="vectorized")
+        """The battery overlay stays identical as both fleets drain and recharge."""
+        oracle = oracle_fleet(FleetSimulator(stochastic_spec(), num_clients=32, seed=11))
+        engine = FleetSimulator(stochastic_spec(), num_clients=32, seed=11)
         for round_index in range(8):
-            assert np.array_equal(legacy.available_mask(round_index), vector.available_mask(round_index))
-            assert legacy.available_clients(round_index) == vector.available_clients(round_index)
+            assert np.array_equal(oracle.available_mask(round_index), engine.available_mask(round_index))
+            clients = oracle.available_clients(round_index)
+            assert clients == engine.available_clients(round_index)
+            oracle.simulate_round(round_index, dispatches_for(clients[:8]))
+            engine.simulate_round(round_index, dispatches_for(clients[:8]))
 
 
 class TestDrawModeThreshold:
@@ -122,7 +129,7 @@ class TestDrawModeThreshold:
         from repro.sim.fleet import BATCHED_DRAW_THRESHOLD
 
         small = FleetSimulator(stochastic_spec(), num_clients=16, seed=0)
-        assert small.engine == "vectorized" and small.draw_mode == "per-client"
+        assert small.draw_mode == "per-client"
         large = FleetSimulator(stochastic_spec(), num_clients=BATCHED_DRAW_THRESHOLD, seed=0)
         assert large.draw_mode == "batched"
 
@@ -152,18 +159,42 @@ class TestDrawModeThreshold:
             ), attr
 
 
+#: 8 downlinks of 40k float32 params plus three 20k-param uplinks: with 8
+#: dispatched clients the budget admits some uploads and refuses the rest
+PARTIAL_BUDGET = 8 * 40_000 * 4 + 3 * 20_000 * 4
+
+#: one spec per round path: closed-form dynamic, gated events, static
+#: closed-form and byte-budget admission
+BATCH_SPECS = {
+    "stochastic": stochastic_spec,
+    "gated": lambda: stochastic_spec(network=NetworkSpec(server_concurrency=2), deadline_factor=None),
+    "paper_testbed": lambda: get_scenario("paper_testbed"),
+    "byte_budget": lambda: stochastic_spec(round_byte_budget=PARTIAL_BUDGET),
+}
+
+
 class TestBatchAPI:
-    def test_simulate_round_batch_matches_list_api(self):
-        list_fleet = FleetSimulator(stochastic_spec(), num_clients=24, seed=9, engine="vectorized")
-        batch_fleet = FleetSimulator(stochastic_spec(), num_clients=24, seed=9, engine="vectorized")
-        for round_index in range(4):
-            clients = list_fleet.available_clients(round_index)[:8]
+    @pytest.mark.parametrize("name", sorted(BATCH_SPECS))
+    def test_simulate_round_batch_matches_list_api(self, name):
+        """The columnar entry point matches the oracle's per-client list API,
+        an empty round included."""
+        spec = BATCH_SPECS[name]()
+        list_fleet = oracle_fleet(FleetSimulator(spec, num_clients=24, seed=9))
+        batch_fleet = FleetSimulator(spec, num_clients=24, seed=9)
+        admitted_counts = []
+        for round_index in range(5):
+            clients = list_fleet.available_clients(round_index)[:8] if round_index != 2 else []
             dispatches = dispatches_for(clients)
             outcome = list_fleet.simulate_round(round_index, dispatches)
             batch = batch_fleet.simulate_round_batch(
                 round_index, DispatchBatch.from_dispatches(dispatches)
             )
             outcomes_equal(outcome, batch.to_outcome())
+            if not clients:
+                assert len(batch) == 0 and batch.round_seconds == 0.0
+            admitted_counts.append((int(batch.aggregated.sum()), len(batch)))
+        if name == "byte_budget":
+            assert any(0 < admitted < dispatched for admitted, dispatched in admitted_counts)
 
     def test_dispatch_batch_round_trips(self):
         dispatches = dispatches_for([2, 5, 9])
@@ -172,15 +203,22 @@ class TestBatchAPI:
         assert len(batch) == 3
 
 
+def build_fleet(engine, **kwargs):
+    """``"legacy"``: a fleet driven by the per-object oracle (the retired
+    engine); ``"vectorized"``: the fleet engine itself."""
+    fleet = FleetSimulator(stochastic_spec(), **kwargs)
+    return oracle_fleet(fleet) if engine == "legacy" else fleet
+
+
 class TestStateRoundTrip:
     @pytest.mark.parametrize("engine", ["legacy", "vectorized"])
     def test_resume_is_bit_identical(self, engine):
-        reference = FleetSimulator(stochastic_spec(), num_clients=20, seed=4, engine=engine)
+        reference = build_fleet(engine, num_clients=20, seed=4)
         run_rounds(reference, num_rounds=6)
 
-        first = FleetSimulator(stochastic_spec(), num_clients=20, seed=4, engine=engine)
+        first = build_fleet(engine, num_clients=20, seed=4)
         run_rounds(first, num_rounds=3)
-        resumed = FleetSimulator(stochastic_spec(), num_clients=20, seed=4, engine=engine)
+        resumed = build_fleet(engine, num_clients=20, seed=4)
         resumed.load_state_dict(first.state_dict())
         for round_index in range(3, 6):
             clients = resumed.available_clients(round_index)[:8]
@@ -189,16 +227,18 @@ class TestStateRoundTrip:
         assert reference.state_dict()["recovering"] == resumed.state_dict()["recovering"]
 
     def test_cross_engine_state_is_interchangeable(self):
-        legacy = FleetSimulator(stochastic_spec(), num_clients=20, seed=4, engine="legacy")
-        run_rounds(legacy, num_rounds=3)
-        vector = FleetSimulator(stochastic_spec(), num_clients=20, seed=4, engine="vectorized")
-        vector.load_state_dict(legacy.state_dict())
+        """Oracle-written state resumes on the engine, bit-identically."""
+        oracle = build_fleet("legacy", num_clients=20, seed=4)
+        run_rounds(oracle, num_rounds=3)
+        engine = build_fleet("vectorized", num_clients=20, seed=4)
+        engine.load_state_dict(oracle.state_dict())
         for round_index in range(3, 6):
-            clients = vector.available_clients(round_index)[:8]
-            vector.simulate_round(round_index, dispatches_for(clients))
-        reference = FleetSimulator(stochastic_spec(), num_clients=20, seed=4, engine="legacy")
+            clients = engine.available_clients(round_index)[:8]
+            engine.simulate_round(round_index, dispatches_for(clients))
+        reference = build_fleet("legacy", num_clients=20, seed=4)
         run_rounds(reference, num_rounds=6)
-        assert np.array_equal(reference.state_dict()["charge"], vector.state_dict()["charge"])
+        assert np.array_equal(reference.state_dict()["charge"], engine.state_dict()["charge"])
+        assert reference.state_dict()["recovering"] == engine.state_dict()["recovering"]
 
 
 @pytest.fixture(scope="module")
@@ -232,9 +272,9 @@ def e2e_setup():
 
 
 class TestEndToEndParity:
-    """Histories + final weights bit-identical across engines on flaky_edge."""
+    """Histories + final weights bit-identical, engine vs oracle, on flaky_edge."""
 
-    def build(self, setup, cls, engine):
+    def build(self, setup, cls):
         from repro.core.config import AdaptiveFLConfig
         from repro.core.server import AdaptiveFL
 
@@ -245,7 +285,7 @@ class TestEndToEndParity:
             )
         return cls(
             **setup["kwargs"], pool_config=setup["pool"], federated_config=setup["federated"],
-            local_config=setup["local"], scenario="flaky_edge", fleet_engine=engine, **extra,
+            local_config=setup["local"], scenario="flaky_edge", **extra,
         )
 
     def algorithms(self):
@@ -257,13 +297,14 @@ class TestEndToEndParity:
     @pytest.mark.parametrize("index", [0, 1], ids=["adaptivefl", "heterofl"])
     def test_history_and_weights_bit_identical(self, e2e_setup, index):
         cls = self.algorithms()[index]
-        legacy = self.build(e2e_setup, cls, "legacy")
-        vector = self.build(e2e_setup, cls, "vectorized")
-        legacy_history = legacy.run()
-        vector_history = vector.run()
-        assert legacy_history.to_dict() == vector_history.to_dict()
-        for key in legacy.global_state:
-            assert np.array_equal(legacy.global_state[key], vector.global_state[key]), key
+        oracle = self.build(e2e_setup, cls)
+        oracle_fleet(oracle.fleet)
+        engine = self.build(e2e_setup, cls)
+        oracle_history = oracle.run()
+        engine_history = engine.run()
+        assert oracle_history.to_dict() == engine_history.to_dict()
+        for key in oracle.global_state:
+            assert np.array_equal(oracle.global_state[key], engine.global_state[key]), key
 
 
 class TestPopulationStats:

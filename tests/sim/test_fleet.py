@@ -206,13 +206,13 @@ class TestBattery:
     def test_depleted_client_sits_out_until_recovered(self):
         fleet = self.battery_fleet()
         round_index = 0
-        while 0 not in getattr(fleet, "_recovering"):
+        while 0 not in fleet.state_dict()["recovering"]:
             fleet.simulate_round(round_index, [dispatch(0, flops=20000)])
             round_index += 1
             assert round_index < 50
         assert 0 not in fleet.available_clients(round_index)
         # idle rounds recharge it back above the resume threshold
-        while 0 in getattr(fleet, "_recovering"):
+        while 0 in fleet.state_dict()["recovering"]:
             fleet.simulate_round(round_index, [dispatch(1, flops=20000)])
             round_index += 1
             assert round_index < 500
@@ -234,3 +234,42 @@ class TestBattery:
         outcome = fleet.simulate_round(0, [dispatch(0, flops=20000)])
         assert outcome.clients[0].dropped
         assert outcome.clients[0].finish_seconds is None
+
+
+class TestCheckpointState:
+    def recovering_fleet(self):
+        """A 10-client battery fleet with clients 3 and 7 sitting out."""
+        fleet = fleet_of(
+            num_clients=10,
+            battery=BatterySpec(capacity_joules=50.0, compute_watts=10.0, recharge_watts=1.0),
+        )
+        state = fleet.state_dict()
+        state["recovering"] = [3, 7]
+        fleet.load_state_dict(state)
+        return fleet
+
+    def test_recovering_ids_round_trip_as_sorted_ints(self):
+        fleet = self.recovering_fleet()
+        saved = fleet.state_dict()["recovering"]
+        assert saved == [3, 7] and all(type(client) is int for client in saved)
+        assert 3 not in fleet.available_clients(0) and 7 not in fleet.available_clients(0)
+        restored = fleet_of(
+            num_clients=10,
+            battery=BatterySpec(capacity_joules=50.0, compute_watts=10.0, recharge_watts=1.0),
+        )
+        restored.load_state_dict(fleet.state_dict())
+        assert restored.state_dict()["recovering"] == [3, 7]
+
+    @pytest.mark.parametrize("bad", [-1, 1.7, 10, True], ids=["negative", "float", "past-end", "bool"])
+    def test_bad_recovering_id_is_refused_naming_it(self, bad):
+        fleet = self.recovering_fleet()
+        state = fleet.state_dict()
+        state["recovering"] = [2, bad]
+        with pytest.raises(ValueError, match=f"recovering client {bad!r}"):
+            fleet.load_state_dict(state)
+        # a refused checkpoint leaves the fleet as it was
+        assert fleet.state_dict()["recovering"] == [3, 7]
+
+    def test_engine_knob_is_gone(self):
+        with pytest.raises(TypeError):
+            FleetSimulator(get_scenario("stable_lab"), num_clients=4, engine="legacy")
